@@ -2,7 +2,7 @@ GO ?= go
 # BENCHTIME tunes the bench target (e.g. BENCHTIME=1x for a CI smoke pass).
 BENCHTIME ?= 1s
 
-.PHONY: all build lint test race vet bench bench-all cover examples clean
+.PHONY: all build lint test race vet bench bench-all cover examples paper-smoke clean
 
 all: build vet lint test
 
@@ -21,10 +21,11 @@ lint:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Race-check the packages with concurrent replication runners, the sharded
-# sweep engine, the snapshot/clone machinery of the rare-event engine, the
-# calibration pipeline feeding the sweep (paper_full), the discrete-event
-# core, the checkpoint/restore machinery, and the experiment drivers.
+# Race-check the packages with concurrent replication runners, the parallel
+# state-space exploration and solver kernels, the sharded sweep engine, the
+# snapshot/clone machinery of the rare-event engine, the calibration pipeline
+# feeding the sweep (paper_full), the discrete-event core, the
+# checkpoint/restore machinery, and the experiment drivers.
 # The experiments package exceeds Go's default 10m test-binary deadline
 # under the race detector, so the timeout is set explicitly.
 race:

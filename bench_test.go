@@ -130,42 +130,6 @@ func BenchmarkFigure4Sweep(b *testing.B) {
 			}
 		}
 	})
-	// The pre-sweep evaluation loop: a fresh Simulator per replication (so
-	// the O(model) dependency and impulse indexes are re-derived every time)
-	// and a serial reduction per configuration. Kept as the historical
-	// baseline the sharded engine is measured against.
-	b.Run("per-replication-simulators", func(b *testing.B) {
-		points := figure4Points()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, pt := range points {
-				ptOpts := opts
-				ptOpts.Seed = pt.Seed
-				ptOpts = ptOpts.WithDefaults()
-				model := san.NewModel(pt.Config.Name)
-				mp, err := abe.Build(model, pt.Config)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rewards := mp.Rewards()
-				study := san.NewStudyResult(rewards, ptOpts)
-				for rep, seed := range san.ReplicationSeeds(ptOpts) {
-					sim, err := san.NewSimulator(model, rewards, san.ReplicationStream(seed, rep))
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := sim.Run(ptOpts.Mission)
-					if err != nil {
-						b.Fatal(err)
-					}
-					study.Add(res)
-				}
-				if _, err := abe.MeasuresFromStudy(pt.Config, study); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkPetascalePoint measures the largest Figure 4 point — the x10
@@ -391,7 +355,7 @@ func BenchmarkStorageSimulationPerDisk(b *testing.B) {
 // way the sweep's solver pre-pass executes it for one point: fresh model
 // build, the certified approximate fitting tier at the figure4 tolerance,
 // and the exact transient solve of the surrogate at the one-year mission.
-func miniWeibullCertifySolve(b *testing.B, opts statespace.Options) {
+func miniWeibullCertifySolve(b *testing.B) {
 	b.Helper()
 	cfg := abe.MiniWeibull()
 	model := san.NewModel(cfg.Name)
@@ -399,7 +363,7 @@ func miniWeibullCertifySolve(b *testing.B, opts statespace.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen, cert, rep, err := statespace.CertifyFitted(model, mp.Rewards(), experiments.Figure4FitTolerance, opts)
+	gen, cert, rep, err := statespace.CertifyFitted(model, mp.Rewards(), experiments.Figure4FitTolerance, statespace.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -413,34 +377,13 @@ func miniWeibullCertifySolve(b *testing.B, opts statespace.Options) {
 
 // BenchmarkExploreSolve measures the MiniWeibull certify+solve path — the
 // sweep's analytic tier on the Weibull-disk cross-check configuration (a
-// 27k-state, 304k-edge CTMC after phase-type fitting) — before and after this
-// optimization round, at two granularities.
-//
-// The sweep-scale pair is the headline: "sweep-prepr" replays the pre-PR
-// solver pre-pass over three fingerprint-identical MiniWeibull points (the
-// cross-check-twin workload: every duplicate paid a full sequential
-// certify+solve on the reference implementations), while "sweep-cached" runs
-// the same three points through sweep.Run — interned parallel exploration,
-// gather solver kernels, and the content-addressed solve cache deduplicating
-// the duplicates to one computation.
-//
-// The point-scale pair isolates the kernels without the cache on a single
-// point: "point-baseline" is the sequential reference path (string-keyed
-// interning, scatter SpMV), "point-optimized" the production path. The two
-// produce the same chain (pinned by the statespace differential tests); the
-// solve is dominated by a power iteration to stationarity whose SpMV runs at
-// the single-thread issue-width floor, so the kernel-only win is smaller
-// than the sweep-scale one.
+// 27k-state, 304k-edge CTMC after phase-type fitting) — at two
+// granularities. "sweep-cached" runs three fingerprint-identical points
+// through sweep.Run, where the content-addressed solve cache deduplicates
+// them to one computation; "point-optimized" is one certify+solve without
+// the cache.
 func BenchmarkExploreSolve(b *testing.B) {
 	const dupPoints = 3
-	b.Run("sweep-prepr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for p := 0; p < dupPoints; p++ {
-				miniWeibullCertifySolve(b, statespace.Options{Baseline: true})
-			}
-		}
-	})
 	b.Run("sweep-cached", func(b *testing.B) {
 		opts := san.Options{Mission: 8760, Replications: 8, Seed: 1,
 			PHFitTolerance: experiments.Figure4FitTolerance}
@@ -461,16 +404,10 @@ func BenchmarkExploreSolve(b *testing.B) {
 			}
 		}
 	})
-	b.Run("point-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			miniWeibullCertifySolve(b, statespace.Options{Baseline: true})
-		}
-	})
 	b.Run("point-optimized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			miniWeibullCertifySolve(b, statespace.Options{})
+			miniWeibullCertifySolve(b)
 		}
 	})
 }

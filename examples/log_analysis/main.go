@@ -12,7 +12,7 @@ import (
 	"math"
 
 	"repro/internal/abe"
-	"repro/internal/core"
+	"repro/internal/calibrate"
 	"repro/internal/loganalysis"
 	"repro/internal/loggen"
 	"repro/internal/san"
@@ -56,10 +56,11 @@ func main() {
 
 	// Calibrate the model from the logs and validate it against the observed
 	// availability.
-	cfg, rates, err := core.CalibrateFromLogs(logs, abe.ABE(), 480)
+	cal, err := calibrate.CalibrateWith(logs, 480, abe.ABE())
 	if err != nil {
 		log.Fatal(err)
 	}
+	cfg, rates := cal.Config, cal.Rates
 	measures, err := abe.Evaluate(cfg, san.Options{Mission: 8760, Replications: 40, Seed: 11})
 	if err != nil {
 		log.Fatal(err)

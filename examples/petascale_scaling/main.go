@@ -19,7 +19,6 @@ import (
 	"log"
 
 	"repro/internal/abe"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/san"
 	"repro/internal/sweep"
@@ -67,9 +66,36 @@ func main() {
 		len(res.Points), res.Options.Replications, res.TotalEvents)
 
 	fmt.Println()
-	rec, err := core.RecommendSpareOSS(abe.Petascale(), opts)
+	rec, err := recommendSpareOSS(abe.Petascale(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("design recommendation:", rec.Finding)
+}
+
+// recommendation is a qualitative design finding derived from measured
+// differences, phrased the way the paper's conclusions are.
+type recommendation struct {
+	Finding string
+	Delta   float64
+}
+
+// recommendSpareOSS quantifies the paper's standby-spare design alternative
+// at the given configuration: it evaluates the configuration with and
+// without a spare OSS and reports the availability gain.
+func recommendSpareOSS(cfg abe.Config, opts san.Options) (recommendation, error) {
+	without, err := abe.Evaluate(cfg.WithSpareOSS(false), opts)
+	if err != nil {
+		return recommendation{}, err
+	}
+	with, err := abe.Evaluate(cfg.WithSpareOSS(true), opts)
+	if err != nil {
+		return recommendation{}, err
+	}
+	delta := with.CFSAvailability - without.CFSAvailability
+	return recommendation{
+		Finding: fmt.Sprintf("a standby-spare OSS improves CFS availability by %.1f%% (%.4f -> %.4f) at %s scale",
+			delta*100, without.CFSAvailability, with.CFSAvailability, cfg.Name),
+		Delta: delta,
+	}, nil
 }

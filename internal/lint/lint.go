@@ -15,9 +15,7 @@
 //     index-order-reduction idiom (store to indexed slots, fold later in
 //     index order) and //lint:sorted annotations are exempt.
 //   - nocompiledmutation: flag builder mutations (Add*/Set* calls) on a model
-//     after it was handed to san.Compile/CompileStrict in the same function,
-//     and any use of the deprecated package-level san.NewSimulator outside
-//     package san.
+//     after it was handed to san.Compile/CompileStrict in the same function.
 //   - optionshygiene: exported functions that read fields of a san.Options
 //     parameter before calling its Validate or WithDefaults are flagged —
 //     options must be normalized before they steer a study.
@@ -59,8 +57,8 @@ type Config struct {
 	// must be byte-identical across runs; the nodeterminism pass applies
 	// only to them.
 	DeterministicPkgs []string
-	// SANPath is the import path of the package defining Compile, Options,
-	// and NewSimulator (the targets of the model-invariant rules).
+	// SANPath is the import path of the package defining Compile and
+	// Options (the targets of the model-invariant rules).
 	SANPath string
 	// DistPath is the import path of the distribution package whose types
 	// the distliteral rule protects; the rule is skipped when empty.

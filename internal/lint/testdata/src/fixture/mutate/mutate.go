@@ -49,12 +49,6 @@ func BuildThenCompileAllowed() (*san.CompiledModel, error) {
 	return san.Compile(m)
 }
 
-// Deprecated uses the package-level constructor, which recompiles per call.
-func Deprecated() (*san.Simulator, error) {
-	m := san.NewModel()
-	return san.NewSimulator(m, 1) // want nocompiledmutation
-}
-
 // MethodAllowed uses the compiled model's method, which is the intended
 // per-replication path.
 func MethodAllowed() (*san.Simulator, error) {

@@ -196,14 +196,11 @@ func TestFitPhasesMatchesSurrogateCDF(t *testing.T) {
 			if _, err := FitPhases(m, tc.tol); err != nil {
 				t.Fatal(err)
 			}
-			sim, err := NewSimulator(m, []RewardVariable{
+			sim := mustSimulator(t, m, []RewardVariable{
 				{Name: "done", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 {
 					return float64(mr.Tokens(done))
 				}},
 			}, rng.NewStream(11, "fit-sim-"+tc.name))
-			if err != nil {
-				t.Fatal(err)
-			}
 			const n = 20000
 			for _, p := range []float64{0.25, 0.5, 0.75} {
 				mission := res.Surrogate.Quantile(p)

@@ -209,8 +209,8 @@ func TestLumpedMatchesFlatPopulation(t *testing.T) {
 }
 
 // TestCompileSharedAcrossSimulators verifies the compile-layer contract: one
-// CompiledModel backs several simulators, and a compiled-model simulator is
-// bit-identical to the compatibility-shim path with the same stream.
+// CompiledModel backs several simulators, and a simulator on it is
+// bit-identical to one on a separately compiled model with the same stream.
 func TestCompileSharedAcrossSimulators(t *testing.T) {
 	m, up := buildFailRepair(t, 50, 5)
 	rewards := []RewardVariable{UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(up) == 1 })}
@@ -232,12 +232,16 @@ func TestCompileSharedAcrossSimulators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simB, err := NewSimulator(m, rewards, rng.NewStream(77, "shared"))
+	cmB, err := Compile(m, rewards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simB, err := cmB.NewSimulator(rng.NewStream(77, "shared"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if simB.Compiled() == cm {
-		t.Error("shim unexpectedly reused the compiled model")
+		t.Error("a second Compile unexpectedly reused the compiled model")
 	}
 	resA, err := simA.Run(3000)
 	if err != nil {
@@ -248,7 +252,7 @@ func TestCompileSharedAcrossSimulators(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resA.Rewards["avail"] != resB.Rewards["avail"] || resA.Events != resB.Events {
-		t.Errorf("compiled vs shim runs differ: %+v vs %+v", resA, resB)
+		t.Errorf("shared vs separately compiled runs differ: %+v vs %+v", resA, resB)
 	}
 
 	// RunReplicationsCompiled matches RunReplications on the same options.

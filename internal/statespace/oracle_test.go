@@ -67,7 +67,20 @@ func name(prefix string, i int) string {
 // the test on refusal.
 func certifyFarm(t *testing.T, cm *san.CompiledModel, opts statespace.Options) *statespace.Generator {
 	t.Helper()
-	gen, cert := statespace.Certify(cm, opts)
+	return certifyWith(t, statespace.Certify, cm, opts)
+}
+
+// certifyReference is certifyFarm on the sequential reference explorer.
+func certifyReference(t *testing.T, cm *san.CompiledModel, opts statespace.Options) *statespace.Generator {
+	t.Helper()
+	return certifyWith(t, statespace.CertifyReference, cm, opts)
+}
+
+type certifyFunc func(*san.CompiledModel, statespace.Options) (*statespace.Generator, san.Certificate)
+
+func certifyWith(t *testing.T, certify certifyFunc, cm *san.CompiledModel, opts statespace.Options) *statespace.Generator {
+	t.Helper()
+	gen, cert := certify(cm, opts)
 	if !cert.Certified() {
 		t.Fatalf("refused: %s", cert.Summary())
 	}
@@ -75,7 +88,7 @@ func certifyFarm(t *testing.T, cm *san.CompiledModel, opts statespace.Options) *
 }
 
 // sameChain asserts two generators are the same CTMC, state for state and
-// bit for bit. Impulse vectors are compared semantically: the optimized
+// bit for bit. Impulse vectors are compared semantically: the production
 // explorer emits nil for impulse-free edges where the reference emits an
 // all-zero vector, and the two contribute identically to every reward.
 func sameChain(t *testing.T, got, want *statespace.Generator) {
@@ -136,12 +149,12 @@ func sameChain(t *testing.T, got, want *statespace.Generator) {
 }
 
 // TestExploreFastMatchesBaseline checks the interned explorer against the
-// sequential reference implementation on the hypercube fixture: identical
+// sequential reference explorer on the hypercube fixture: identical
 // state numbering, markings, initial distribution, and edges, at
 // parallelism 1 and at a worker count far above the chunk count.
 func TestExploreFastMatchesBaseline(t *testing.T) {
 	cm := buildComponentFarm(t, 8)
-	ref := certifyFarm(t, cm, statespace.Options{Baseline: true})
+	ref := certifyReference(t, cm, statespace.Options{})
 	if len(ref.States) != 256 {
 		t.Fatalf("fixture: got %d states, want 256", len(ref.States))
 	}
@@ -153,7 +166,7 @@ func TestExploreFastMatchesBaseline(t *testing.T) {
 
 // TestExploreFastMatchesBaselineVanishing repeats the differential check on
 // a model with instantaneous activities, covering the vanishing-elimination
-// route of the optimized explorer.
+// route of the production explorer.
 func TestExploreFastMatchesBaselineVanishing(t *testing.T) {
 	build := func() *san.CompiledModel {
 		m := san.NewModel("vanish")
@@ -189,21 +202,29 @@ func TestExploreFastMatchesBaselineVanishing(t *testing.T) {
 		}
 		return cm
 	}
-	ref := certifyFarm(t, build(), statespace.Options{Baseline: true})
+	ref := certifyReference(t, build(), statespace.Options{})
 	fast := certifyFarm(t, build(), statespace.Options{Parallelism: 4})
 	sameChain(t, fast, ref)
 }
 
 // TestExploreGoldenNumbering pins the state numbering of the hypercube
-// fixture to a golden digest. The baseline and optimized explorers are
+// fixture to a golden digest. The reference and production explorers are
 // required to agree with each other *and* with this constant, so neither can
 // silently drift — the interned index must keep assigning indices in the
 // reference discovery order.
 func TestExploreGoldenNumbering(t *testing.T) {
 	const golden = "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4"
 	cm := buildComponentFarm(t, 8)
-	for _, opts := range []statespace.Options{{Baseline: true}, {}, {Parallelism: 8}} {
-		gen := certifyFarm(t, cm, opts)
+	for _, tc := range []struct {
+		name    string
+		certify certifyFunc
+		opts    statespace.Options
+	}{
+		{"reference", statespace.CertifyReference, statespace.Options{}},
+		{"default", statespace.Certify, statespace.Options{}},
+		{"parallelism 8", statespace.Certify, statespace.Options{Parallelism: 8}},
+	} {
+		gen := certifyWith(t, tc.certify, cm, tc.opts)
 		h := sha256.New()
 		var buf [8]byte
 		for _, mark := range gen.States {
@@ -213,7 +234,7 @@ func TestExploreGoldenNumbering(t *testing.T) {
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != golden {
-			t.Fatalf("state numbering drifted (opts %+v):\n got %s\nwant %s", opts, got, golden)
+			t.Fatalf("state numbering drifted (%s):\n got %s\nwant %s", tc.name, got, golden)
 		}
 	}
 }
@@ -256,14 +277,14 @@ func TestSolveBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestFastSolverMatchesBaselineNumerically checks the gather kernel against
-// the scatter reference: same chain, same series, results equal to
-// reassociation-level tolerance.
+// TestFastSolverMatchesBaselineNumerically checks the gather kernels against
+// the scatter reference solvers on the reference explorer's chain: same
+// series, results equal to reassociation-level tolerance.
 func TestFastSolverMatchesBaselineNumerically(t *testing.T) {
 	cm := buildComponentFarm(t, 6)
-	ref := certifyFarm(t, cm, statespace.Options{Baseline: true})
+	ref := certifyReference(t, cm, statespace.Options{})
 	fast := certifyFarm(t, cm, statespace.Options{Parallelism: 4})
-	want, err := ref.SolveTransient(5000)
+	want, err := ref.SolveTransientReference(5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +292,34 @@ func TestFastSolverMatchesBaselineNumerically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameRewards(t, "transient", got, want)
+
+	wantSS, err := ref.SolveSteadyStateReference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSS, err := fast.SolveSteadyState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRewards(t, "steady-state", gotSS, wantSS)
+}
+
+// sameRewards asserts two reward maps name the same rewards with values
+// equal to reassociation-level tolerance.
+func sameRewards(t *testing.T, what string, got, want map[string]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d rewards, want %d", what, len(got), len(want))
+	}
 	for name, w := range want {
 		if diff := math.Abs(got[name] - w); diff > 1e-9*(1+math.Abs(w)) {
-			t.Errorf("reward %q: fast %v vs baseline %v (diff %g)", name, got[name], w, diff)
+			t.Errorf("%s reward %q: production %v vs reference %v (diff %g)", what, name, got[name], w, diff)
 		}
 	}
 }
 
-// TestExploreFastRefusalsMatchBaseline checks that the optimized explorer
+// TestExploreFastRefusalsMatchBaseline checks that the production explorer
 // reproduces the reference explorer's refusals — text and classification —
 // for marking-dependent rates without reactivation and for budget overruns.
 func TestExploreFastRefusalsMatchBaseline(t *testing.T) {
@@ -301,24 +342,139 @@ func TestExploreFastRefusalsMatchBaseline(t *testing.T) {
 		}
 		return cm
 	}
-	_, refCert := statespace.Certify(build(), statespace.Options{Baseline: true})
+	_, refCert := statespace.CertifyReference(build(), statespace.Options{})
 	_, fastCert := statespace.Certify(build(), statespace.Options{Parallelism: 4})
 	if refCert.Certified() || fastCert.Certified() {
 		t.Fatal("fixture unexpectedly certified")
 	}
 	if got, want := fastCert.Summary(), refCert.Summary(); got != want {
-		t.Fatalf("refusal text differs:\nfast:     %s\nbaseline: %s", got, want)
+		t.Fatalf("refusal text differs:\nproduction: %s\nreference:  %s", got, want)
 	}
 
 	// Budget overrun: both paths must stop at the same budget with the same
 	// refusal.
 	cm := buildComponentFarm(t, 8)
-	_, refCert = statespace.Certify(cm, statespace.Options{Baseline: true, MaxStates: 100})
+	_, refCert = statespace.CertifyReference(cm, statespace.Options{MaxStates: 100})
 	_, fastCert = statespace.Certify(cm, statespace.Options{Parallelism: 4, MaxStates: 100})
 	if refCert.Certified() || fastCert.Certified() {
 		t.Fatal("budget fixture unexpectedly certified")
 	}
 	if got, want := fastCert.Summary(), refCert.Summary(); got != want {
-		t.Fatalf("budget refusal differs:\nfast:     %s\nbaseline: %s", got, want)
+		t.Fatalf("budget refusal differs:\nproduction: %s\nreference:  %s", got, want)
+	}
+}
+
+// buildVanishingFarm builds n components whose failures pass through an
+// instantaneous router, so every timed firing is closed under the vanishing
+// sweep. The timed failure has an input-gate transform, a case through an
+// output gate, case probabilities that depend on how many components are
+// down, and a marking-dependent impulse reward; the router's case
+// probabilities are marking-dependent too, and the router and the
+// single-case notifier in front of it earn their own impulses. Each
+// component is up, soft-down or hard-down (staged and pending are
+// vanishing), so
+// the chain has 3^n states with BFS levels wide enough for the parallel
+// expansion path.
+func buildVanishingFarm(t *testing.T, n int) *san.CompiledModel {
+	t.Helper()
+	m := san.NewModel("vanishing-farm")
+	ups := make([]*san.Place, n)
+	hards := make([]*san.Place, n)
+	for i := 0; i < n; i++ {
+		ups[i] = m.AddPlace(name("up", i), 1)
+		hards[i] = m.AddPlace(name("hard", i), 0)
+	}
+	down := func(mr san.MarkingReader) int {
+		k := 0
+		for _, up := range ups {
+			k += 1 - mr.Tokens(up)
+		}
+		return k
+	}
+	hardCount := func(mr san.MarkingReader) int {
+		k := 0
+		for _, h := range hards {
+			k += mr.Tokens(h)
+		}
+		return k
+	}
+	failures := map[string]san.ImpulseFunc{}
+	for i := 0; i < n; i++ {
+		up, hard := ups[i], hards[i]
+		soft := m.AddPlace(name("soft", i), 0)
+		staged := m.AddPlace(name("staged", i), 0)
+		fail := m.AddTimedActivity(name("fail", i), mustExpRate(t, 0.002*float64(i+1)))
+		fail.AddInputGate(&san.InputGate{
+			Name:      name("take", i),
+			Reads:     []*san.Place{up},
+			Enabled:   func(mr san.MarkingReader) bool { return mr.Tokens(up) > 0 },
+			Transform: func(mw san.MarkingWriter) { mw.Add(up, -1) },
+		})
+		fail.AddCase(san.Case{
+			Probability: func(mr san.MarkingReader) float64 { return 0.3 + 0.1*float64(down(mr)) },
+			OutputGates: []*san.OutputGate{{
+				Name:      name("stage", i),
+				Transform: func(mw san.MarkingWriter) { mw.SetTokens(staged, 1) },
+			}},
+		})
+		fail.AddCase(san.Case{OutputArcs: []san.Arc{{Place: soft, Mult: 1}}})
+		// Earned on the post-fire marking, so a staged failure counts more.
+		failures[fail.Name()] = func(mr san.MarkingReader) float64 {
+			return float64(1 + hardCount(mr) + 2*mr.Tokens(staged))
+		}
+
+		// The router is declared before the single-case notifier that feeds
+		// it, so closing a staged failure takes a second sweep.
+		pending := m.AddPlace(name("pending", i), 0)
+		route := m.AddInstantaneousActivity(name("route", i))
+		route.AddInputArc(pending, 1)
+		route.AddCase(san.Case{
+			Probability: func(mr san.MarkingReader) float64 { return 1 / float64(2+hardCount(mr)) },
+			OutputArcs:  []san.Arc{{Place: hard, Mult: 1}},
+		})
+		route.AddCase(san.Case{OutputArcs: []san.Arc{{Place: soft, Mult: 1}}})
+		m.AddInstantaneousActivity(name("notify", i)).AddInputArc(staged, 1).AddOutputArc(pending, 1)
+
+		m.AddTimedActivity(name("fix", i), mustExpRate(t, 0.05*float64(i+1))).AddInputArc(soft, 1).AddOutputArc(up, 1)
+		m.AddTimedActivity(name("rebuild", i), mustExpRate(t, 0.01*float64(i+1))).AddInputArc(hard, 1).AddOutputArc(up, 1)
+	}
+	cm, err := san.Compile(m, []san.RewardVariable{
+		san.UpFraction("all_up", func(mr san.MarkingReader) bool { return down(mr) == 0 }),
+		{Name: "failures", Mode: san.Accumulated, Impulses: failures},
+		san.CompletionCount("routed0", name("route", 0)),
+		san.CompletionCount("notified", name("notify", 0), name("notify", 1)),
+		{Name: "hard_at_end", Mode: san.InstantAtEnd, Rate: func(mr san.MarkingReader) float64 { return float64(hardCount(mr)) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm
+}
+
+// TestVanishingFiringMatchesReference checks the production explorer and
+// transient solver against the reference on a model whose timed firings use
+// every step of the firing routine and are each closed under the vanishing
+// sweep, at parallelism 1 and 4.
+func TestVanishingFiringMatchesReference(t *testing.T) {
+	const n = 7 // widest BFS levels span three expansion chunks
+	ref := certifyReference(t, buildVanishingFarm(t, n), statespace.Options{})
+	if want := int(math.Pow(3, n)); len(ref.States) != want {
+		t.Fatalf("fixture: got %d states, want %d", len(ref.States), want)
+	}
+	want, err := ref.SolveTransientReference(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want["failures"] <= 0 || want["routed0"] <= 0 || want["notified"] <= 0 {
+		t.Fatalf("fixture earns no impulses: %v", want)
+	}
+	for _, par := range []int{1, 4} {
+		gen := certifyFarm(t, buildVanishingFarm(t, n), statespace.Options{Parallelism: par})
+		sameChain(t, gen, ref)
+		got, err := gen.SolveTransient(2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRewards(t, "transient", got, want)
 	}
 }

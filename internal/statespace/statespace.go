@@ -11,12 +11,14 @@
 //
 // The package mirrors the simulator's firing semantics exactly (input arcs,
 // input-gate transforms, case selection mass normalization, sweep-ordered
-// instantaneous closure, post-fire impulse evaluation), so the generated
-// chain is the chain the simulator samples.
+// instantaneous closure, post-fire impulse evaluation) in one firing
+// routine, so the generated chain is the chain the simulator samples.
+// Exploration and the solvers each have one implementation, parallel and
+// bit-identical at every worker count; the tests hold a sequential reference
+// twin of both as an oracle.
 package statespace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -28,28 +30,18 @@ import (
 type Options struct {
 	// MaxStates caps the exhaustive exploration. Zero means DefaultMaxStates.
 	MaxStates int
-	// MaxInvariantPlaces and MaxInvariantColumns cap the incidence tableau;
-	// larger models skip invariant computation (bounds then come from
-	// exploration alone). Zero means the defaults.
-	MaxInvariantPlaces  int
-	MaxInvariantColumns int
-	// MaxFarkasRows caps the intermediate tableau growth of the invariant
-	// computation. Zero means DefaultMaxFarkasRows.
-	MaxFarkasRows int
 	// Parallelism is the worker count for the parallel exploration and
 	// solver kernels. Zero means GOMAXPROCS; one forces sequential
 	// execution. Results are bit-identical at every setting: the parallel
 	// kernels partition work into fixed-size chunks (independent of the
 	// worker count) and reduce per-chunk partials in chunk-index order.
 	Parallelism int
-	// Baseline routes exploration and the solvers through the sequential
-	// reference implementations (string-keyed interning, scatter SpMV).
-	// It exists for differential tests and benchmarks of the optimized
-	// tier; production callers leave it false.
-	Baseline bool
 }
 
-// Default analysis budgets.
+// Analysis budgets. Models with more places than DefaultMaxInvariantPlaces
+// or more (activity, case) columns than DefaultMaxInvariantColumns skip the
+// invariant computation, as does a Farkas tableau growing past
+// DefaultMaxFarkasRows rows; bounds then come from exploration alone.
 const (
 	DefaultMaxStates           = 50000
 	DefaultMaxInvariantPlaces  = 600
@@ -62,15 +54,6 @@ const (
 func (o Options) withDefaults() Options {
 	if o.MaxStates <= 0 {
 		o.MaxStates = DefaultMaxStates
-	}
-	if o.MaxInvariantPlaces <= 0 {
-		o.MaxInvariantPlaces = DefaultMaxInvariantPlaces
-	}
-	if o.MaxInvariantColumns <= 0 {
-		o.MaxInvariantColumns = DefaultMaxInvariantColumns
-	}
-	if o.MaxFarkasRows <= 0 {
-		o.MaxFarkasRows = DefaultMaxFarkasRows
 	}
 	return o
 }
@@ -122,11 +105,9 @@ type Generator struct {
 	// (activity declaration, case, path) order.
 	Transitions [][]Transition
 
-	// par and baseline are carried over from the certify Options: the
-	// worker count for the parallel solver kernels (0 = GOMAXPROCS) and
-	// whether solves run on the sequential reference path.
-	par      int
-	baseline bool
+	// par is the certify Options' worker count for the parallel solver
+	// kernels (0 = GOMAXPROCS).
+	par int
 }
 
 // NumTransitions returns the total edge count.
@@ -151,6 +132,12 @@ func (g *Generator) Rewards() []san.RewardVariable { return g.cm.Rewards() }
 // refuses before exploration spends any budget, and the refusal strings are
 // prefixed with the san.Refusal* constants so callers can classify them.
 func Certify(cm *san.CompiledModel, opts Options) (*Generator, san.Certificate) {
+	return certify(cm, opts, explore)
+}
+
+// certify is Certify with the exploration engine as a parameter, the seam
+// through which the tests run the pipeline on a reference explorer.
+func certify(cm *san.CompiledModel, opts Options, explore func(*san.CompiledModel, Options) (*Generator, exploreResult)) (*Generator, san.Certificate) {
 	opts = opts.withDefaults()
 	var cert san.Certificate
 
@@ -188,7 +175,7 @@ func Certify(cm *san.CompiledModel, opts Options) (*Generator, san.Certificate) 
 
 	// 3. Invariants over the rationals. Budget overruns downgrade gracefully:
 	// bounds then rest on exploration alone.
-	inv := computeInvariants(cm, opts)
+	inv := computeInvariants(cm)
 	cert.PInvariants = len(inv.pInvariants)
 	cert.TInvariants = inv.tInvariants
 
@@ -230,7 +217,6 @@ func Certify(cm *san.CompiledModel, opts Options) (*Generator, san.Certificate) 
 	cert.Transitions = gen.NumTransitions()
 	cert.PlaceBounds = placeBounds(cm, inv, exp.observedMax)
 	gen.par = opts.Parallelism
-	gen.baseline = opts.Baseline
 	return gen, cert
 }
 
@@ -292,15 +278,6 @@ func activityRate(a *san.Activity, m san.MarkingReader) (rate float64, err error
 		}
 		return 0, fmt.Errorf("activity %q: %T delay", a.Name(), d)
 	}
-}
-
-// stateKey encodes a marking vector as a map key.
-func stateKey(mark []int) string {
-	buf := make([]byte, 8*len(mark))
-	for i, v := range mark {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(v)))
-	}
-	return string(buf)
 }
 
 // sortedPlaceNames returns the names of the given place indices in sorted

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/abe"
+	"repro/internal/loggen"
 )
 
 func TestVersion(t *testing.T) {
@@ -95,5 +96,57 @@ func TestCompareDesignsFacade(t *testing.T) {
 	}
 	if _, err := CompareDesigns(nil, EvaluationOptions{}); err == nil {
 		t.Error("empty design map accepted")
+	}
+}
+
+func TestCompareDesigns(t *testing.T) {
+	opts := EvaluationOptions{Replications: 8, MissionHours: 4380, Seed: 7}
+	designs := map[string]abe.Config{
+		"ABE (8+2)":          abe.ABE(),
+		"ABE with spare OSS": abe.ABE().WithSpareOSS(true),
+	}
+	out, err := CompareDesigns(designs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := strings.Index(out, "ABE (8+2)"), strings.Index(out, "ABE with spare OSS")
+	if first < 0 || second < 0 {
+		t.Fatalf("comparison table missing designs:\n%s", out)
+	}
+	if first > second {
+		t.Errorf("designs not in name order:\n%s", out)
+	}
+	if _, err := CompareDesigns(map[string]abe.Config{}, opts); err == nil {
+		t.Error("empty design map accepted")
+	}
+	bad := map[string]abe.Config{"bad": {}}
+	if _, err := CompareDesigns(bad, opts); err == nil {
+		t.Error("invalid design accepted")
+	}
+}
+
+func TestCalibrateFromLogs(t *testing.T) {
+	logs, err := loggen.Generate(loggen.ABEConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, rates, err := CalibrateFromLogs(logs, abe.ABE(), 480)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Storage.Disk.ShapeBeta != rates.DiskWeibullShape {
+		t.Errorf("calibrated shape %v != derived %v", cfg.Storage.Disk.ShapeBeta, rates.DiskWeibullShape)
+	}
+	if cfg.Storage.Disk.MTBFHours != rates.DiskMTBFHours {
+		t.Errorf("calibrated MTBF %v != derived %v", cfg.Storage.Disk.MTBFHours, rates.DiskMTBFHours)
+	}
+	if cfg.Workload.JobsPerHour != rates.JobsPerHour {
+		t.Errorf("calibrated job rate %v != derived %v", cfg.Workload.JobsPerHour, rates.JobsPerHour)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("calibrated config invalid: %v", err)
+	}
+	if _, _, err := CalibrateFromLogs(nil, abe.ABE(), 480); err == nil {
+		t.Error("nil logs accepted")
 	}
 }
