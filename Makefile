@@ -2,7 +2,7 @@ GO ?= go
 # BENCHTIME tunes the bench target (e.g. BENCHTIME=1x for a CI smoke pass).
 BENCHTIME ?= 1s
 
-.PHONY: all build lint test race vet bench bench-all cover examples paper-smoke clean
+.PHONY: all build lint test race vet bench bench-compare bench-all cover examples paper-smoke clean
 
 all: build vet lint test
 
@@ -44,6 +44,13 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure4Sweep|BenchmarkPetascalePoint|BenchmarkSolverVsSimulation|BenchmarkFitSolverVsSimulation|BenchmarkExploreSolve|BenchmarkSweepSolveCache' -benchmem -benchtime $(BENCHTIME) -timeout 60m . > BENCH_sweep.txt || { cat BENCH_sweep.txt; exit 1; }
 	cat BENCH_sweep.txt
 	$(GO) run ./cmd/benchjson -in BENCH_sweep.txt -out BENCH_sweep.json
+
+# Compare the last `make bench` run (BENCH_sweep.json) against the committed
+# BENCH_baseline.json: print every metric's delta, and fail when a
+# BenchmarkFigure4Sweep row more than doubles its allocs/op. Wall times on a
+# shared machine are too noisy to gate; allocation counts are not.
+bench-compare:
+	$(GO) run ./cmd/benchjson compare -base BENCH_baseline.json -cur BENCH_sweep.json
 
 # Every benchmark in the repository (slow).
 bench-all:

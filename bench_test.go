@@ -96,8 +96,11 @@ func BenchmarkExtensionCheckpoint(b *testing.B) { runExperiment(b, "extension-ch
 // "sharded" schedules every (configuration, replication) job of the whole
 // sweep over one shared worker pool with per-configuration cached models and
 // simulators (internal/sweep), while "per-config" evaluates each point with
-// its own abe.Evaluate — a fresh pool, model, and simulator set per
-// configuration. Both produce bit-identical measures; the benchmark isolates
+// abe.Evaluate's path — a fresh pool and simulator set per configuration,
+// running san.RunReplicationsCompiled and abe.MeasuresFromStudy itself.
+// Both build and compile each point once, pay the same solver pre-pass per
+// point (cache key, certification, and the expansion retry; see
+// certifyAndKey) and produce bit-identical measures, so the pair isolates
 // the scheduling and caching win.
 func BenchmarkFigure4Sweep(b *testing.B) {
 	opts := san.Options{Mission: 2190, Replications: 8, Seed: 1}
@@ -122,14 +125,54 @@ func BenchmarkFigure4Sweep(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, pt := range points {
+				cm := certifyAndKey(b, pt.Config)
 				ptOpts := opts
 				ptOpts.Seed = pt.Seed
-				if _, err := abe.Evaluate(pt.Config, ptOpts); err != nil {
+				study, err := san.RunReplicationsCompiled(cm, ptOpts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := abe.MeasuresFromStudy(pt.Config, study); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
+}
+
+// certifyAndKey builds and compiles one configuration and pays the solver
+// pre-pass sweep.Run runs before it simulates a refused point: the solve
+// cache key, plain certification, and — when cm.HasExpandableDelay — the
+// phase-type expansion retry on a fresh build. Figure 4's points all refuse,
+// so the pre-pass ends there and the returned model simulates.
+func certifyAndKey(b *testing.B, cfg abe.Config) *san.CompiledModel {
+	b.Helper()
+	build := func() (*san.Model, *abe.ModelPlaces) {
+		model := san.NewModel(cfg.Name)
+		mp, err := abe.Build(model, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return model, mp
+	}
+	model, mp := build()
+	cm, err := san.Compile(model, mp.Rewards())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if cm.Fingerprint() == "" {
+		b.Fatal("empty cache key")
+	}
+	if _, cert := statespace.Certify(cm, statespace.Options{}); cert.Certified() {
+		b.Fatalf("%s certified; the Figure 4 points must refuse and simulate", cfg.Name)
+	}
+	if cm.HasExpandableDelay() {
+		fresh, fmp := build()
+		if _, _, _, err := statespace.CertifyExpanded(fresh, fmp.Rewards(), statespace.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cm
 }
 
 // BenchmarkPetascalePoint measures the largest Figure 4 point — the x10

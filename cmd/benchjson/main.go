@@ -8,6 +8,11 @@
 //
 //	go test -bench ... -benchmem | benchjson -out BENCH_sweep.json
 //	benchjson -in BENCH_sweep.txt -out BENCH_sweep.json
+//	benchjson compare -base BENCH_baseline.json -cur BENCH_sweep.json
+//
+// The compare subcommand prints every metric's delta against the baseline
+// and exits non-zero when a BenchmarkFigure4Sweep row more than doubles its
+// allocs/op.
 package main
 
 import (
@@ -49,6 +54,12 @@ type Document struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
+	if len(os.Args) > 1 && os.Args[1] == "compare" {
+		if err := runCompare(os.Args[2:], os.Stdout); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	in := flag.String("in", "", "input file with go test -bench output (default stdin)")
 	out := flag.String("out", "", "output JSON file (default stdout)")
 	flag.Parse()

@@ -38,13 +38,11 @@ const (
 // (exponential, or Weibull with shape exactly 1) and a reason string —
 // prefixed with ReasonAgedState or ReasonNonExponential — otherwise.
 func DelayLumpability(label string, d dist.Distribution) string {
-	switch v := d.(type) {
-	case dist.Exponential:
+	if memoryless(d) {
 		return ""
+	}
+	switch d.(type) {
 	case dist.Weibull:
-		if v.Shape() == 1 {
-			return "" // shape-1 Weibull is the exponential
-		}
 		return fmt.Sprintf("%s: %s %s retains component age", ReasonAgedState, label, dist.Describe(d))
 	case dist.Deterministic:
 		return fmt.Sprintf("%s: %s %s is a timer, not memoryless", ReasonAgedState, label, dist.Describe(d))
@@ -61,6 +59,18 @@ func DelayLumpability(label string, d dist.Distribution) string {
 		}
 		return fmt.Sprintf("%s: %s %s", ReasonNonExponential, label, dist.Describe(d))
 	}
+}
+
+// memoryless reports whether d is exponential: an Exponential, or a Weibull
+// with shape exactly 1.
+func memoryless(d dist.Distribution) bool {
+	switch v := d.(type) {
+	case dist.Exponential:
+		return true
+	case dist.Weibull:
+		return v.Shape() == 1
+	}
+	return false
 }
 
 // NamedDelay labels one per-replica delay distribution of a family for
@@ -180,47 +190,120 @@ type AnalysisReport struct {
 	Clean bool `json:"clean"`
 }
 
-// probeMarking is the instrumented marking Analyze executes gate and reward
-// closures against: it records every place read and written, tolerates
-// negative token counts (optionally clamping at zero so decrement-then-test
-// branches are reachable from a zero base), and never panics.
+// probeMarking is the instrumented marking Analyze, ExpandPhases, FitPhases
+// and Fingerprint execute gate, delay and reward closures against: it
+// records every place read and written, tolerates negative token counts
+// (optionally clamping at zero so decrement-then-test branches are reachable
+// from a zero base), and never panics.
+//
+// A probe reads through to a shared base marking that is never copied;
+// writes go to a copy-on-write overlay, and the touched places are kept as
+// index lists. One probe therefore costs O(places touched), not O(places):
+// the n-length arrays below are allocated once per probeMarking and reused
+// by every probe, which reset starts in O(1).
 type probeMarking struct {
-	tokens []int
-	clamp  bool
-	reads  []bool
-	writes []bool
+	base  []int
+	clamp bool
+	// epoch numbers the current probe. overlay[i] holds place i's token
+	// count while overStamp[i] == epoch; readStamp and writeStamp mark the
+	// places already on reads and writes.
+	epoch      uint32
+	overlay    []int
+	overStamp  []uint32
+	readStamp  []uint32
+	writeStamp []uint32
+	// reads and writes list the places this probe read and wrote, each once,
+	// in first-touch order.
+	reads  []int
+	writes []int
+}
+
+func newProbeMarking(n int) *probeMarking {
+	return &probeMarking{
+		overlay:    make([]int, n),
+		overStamp:  make([]uint32, n),
+		readStamp:  make([]uint32, n),
+		writeStamp: make([]uint32, n),
+	}
+}
+
+// reset starts a fresh probe over base, discarding the previous probe's
+// overlay and touched lists.
+func (pm *probeMarking) reset(base []int, clamp bool) {
+	pm.base, pm.clamp = base, clamp
+	pm.reads, pm.writes = pm.reads[:0], pm.writes[:0]
+	pm.epoch++
+	if pm.epoch == 0 {
+		// The counter wrapped: stale stamps could alias the new epoch.
+		clear(pm.overStamp)
+		clear(pm.readStamp)
+		clear(pm.writeStamp)
+		pm.epoch = 1
+	}
+}
+
+// value returns place i's token count in the current probe.
+func (pm *probeMarking) value(i int) int {
+	if pm.overStamp[i] == pm.epoch {
+		return pm.overlay[i]
+	}
+	return pm.base[i]
+}
+
+// set overlays place i's token count without recording a write.
+func (pm *probeMarking) set(i, n int) {
+	pm.overlay[i] = n
+	pm.overStamp[i] = pm.epoch
+}
+
+func (pm *probeMarking) index(p *Place) (int, bool) {
+	if p == nil || p.index < 0 || p.index >= len(pm.base) {
+		return 0, false
+	}
+	return p.index, true
+}
+
+func (pm *probeMarking) write(i, n int) {
+	if pm.writeStamp[i] != pm.epoch {
+		pm.writeStamp[i] = pm.epoch
+		pm.writes = append(pm.writes, i)
+	}
+	pm.set(i, n)
 }
 
 func (pm *probeMarking) Tokens(p *Place) int {
-	if p == nil || p.index < 0 || p.index >= len(pm.tokens) {
+	i, ok := pm.index(p)
+	if !ok {
 		return 0
 	}
-	pm.reads[p.index] = true
-	return pm.tokens[p.index]
+	if pm.readStamp[i] != pm.epoch {
+		pm.readStamp[i] = pm.epoch
+		pm.reads = append(pm.reads, i)
+	}
+	return pm.value(i)
 }
 
 func (pm *probeMarking) SetTokens(p *Place, n int) {
-	if p == nil || p.index < 0 || p.index >= len(pm.tokens) {
-		return
+	if i, ok := pm.index(p); ok {
+		pm.write(i, n)
 	}
-	pm.writes[p.index] = true
-	pm.tokens[p.index] = n
 }
 
 func (pm *probeMarking) Add(p *Place, delta int) {
-	if p == nil || p.index < 0 || p.index >= len(pm.tokens) {
+	i, ok := pm.index(p)
+	if !ok {
 		return
 	}
-	pm.writes[p.index] = true
-	pm.tokens[p.index] += delta
-	if pm.clamp && pm.tokens[p.index] < 0 {
-		pm.tokens[p.index] = 0
+	n := pm.value(i) + delta
+	if pm.clamp && n < 0 {
+		n = 0
 	}
+	pm.write(i, n)
 }
 
 // probeSet aggregates read/write discovery across several probe executions.
 type probeSet struct {
-	n      int
+	pm     *probeMarking
 	reads  []bool
 	writes []bool
 	// opaque is set when a probed closure panicked: its effects are unknown,
@@ -229,7 +312,7 @@ type probeSet struct {
 }
 
 func newProbeSet(n int) *probeSet {
-	return &probeSet{n: n, reads: make([]bool, n), writes: make([]bool, n)}
+	return &probeSet{pm: newProbeMarking(n), reads: make([]bool, n), writes: make([]bool, n)}
 }
 
 // baseMarkings returns the synthetic markings closures are probed under:
@@ -252,21 +335,19 @@ func baseMarkings(initial []int) [][]int {
 // folds the recorded reads and writes into ps. A panicking closure marks the
 // whole set opaque.
 func (ps *probeSet) probe(bases [][]int, fn func(pm *probeMarking)) {
+	pm := ps.pm
 	for _, base := range bases {
 		for _, clamp := range []bool{false, true} {
-			pm := &probeMarking{
-				tokens: append([]int(nil), base...),
-				clamp:  clamp,
-				reads:  make([]bool, ps.n),
-				writes: make([]bool, ps.n),
-			}
+			pm.reset(base, clamp)
 			if !runProbe(pm, fn) {
 				ps.opaque = true
 				return
 			}
-			for i := range pm.reads {
-				ps.reads[i] = ps.reads[i] || pm.reads[i]
-				ps.writes[i] = ps.writes[i] || pm.writes[i]
+			for _, i := range pm.reads {
+				ps.reads[i] = true
+			}
+			for _, i := range pm.writes {
+				ps.writes[i] = true
 			}
 		}
 	}
@@ -500,6 +581,12 @@ func instantaneousCycles(cm *CompiledModel, ps *probeSet) []VanishingLoop {
 	for i, a := range inst {
 		idx[a] = i
 	}
+	var gateWritten []int
+	for pi, w := range ps.writes {
+		if w {
+			gateWritten = append(gateWritten, pi)
+		}
+	}
 	// outputs[i] is the set of place indexes firing inst[i] can write.
 	outputs := make([]map[int]bool, len(inst))
 	for i, a := range inst {
@@ -512,10 +599,8 @@ func instantaneousCycles(cm *CompiledModel, ps *probeSet) []VanishingLoop {
 				if og != nil && og.Transform != nil {
 					// Gate writes were discovered by probing; attribute the
 					// union to every gate-bearing activity (conservative).
-					for pi, w := range ps.writes {
-						if w {
-							outputs[i][pi] = true
-						}
+					for _, pi := range gateWritten {
+						outputs[i][pi] = true
 					}
 				}
 			}

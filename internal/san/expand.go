@@ -117,6 +117,50 @@ func PhaseExpandable(d dist.Distribution) (int, bool) {
 	return len(rates), ok
 }
 
+// chainVerdict classifies a fixed delay for ExpandPhases.
+type chainVerdict uint8
+
+const (
+	chainMemoryless chainVerdict = iota // exponential already: nothing to rewrite
+	chainNoForm                         // no exact finite phase-type form
+	chainOverBudget                     // exact form longer than maxExpansionPhases
+	chainExpandable
+)
+
+// phaseChain is the one rule for which fixed delays ExpandPhases rewrites:
+// it returns d's exact stage rates and whether the pass may rewrite d into
+// them. Only a chainExpandable delay is rewritten, and a multi-stage one
+// still has to pass the pass's structural preconditions.
+func phaseChain(d dist.Distribution) ([]float64, chainVerdict) {
+	if memoryless(d) {
+		return nil, chainMemoryless
+	}
+	rates, ok := phaseRates(d)
+	switch {
+	case !ok:
+		return nil, chainNoForm
+	case len(rates) > maxExpansionPhases:
+		return rates, chainOverBudget
+	}
+	return rates, chainExpandable
+}
+
+// HasExpandableDelay reports whether some timed activity of cm's model has a
+// fixed delay phaseChain calls expandable. It costs O(activities) and
+// formats nothing. When it is false, ExpandPhases on a fresh build of the
+// same model rewrites nothing, so a solver cascade can skip that retry.
+func (cm *CompiledModel) HasExpandableDelay() bool {
+	for _, a := range cm.model.activities {
+		if a.kind != Timed || a.fixedDelay == nil {
+			continue
+		}
+		if _, verdict := phaseChain(a.fixedDelay); verdict == chainExpandable {
+			return true
+		}
+	}
+	return false
+}
+
 // phaseRates flattens d into its exact exponential stage rates, in the order
 // the stages elapse.
 func phaseRates(d dist.Distribution) ([]float64, bool) {
@@ -182,34 +226,7 @@ func ExpandPhases(m *Model) (*ExpansionReport, error) {
 	}
 	report := &ExpansionReport{}
 
-	// Static write/consume discovery for the stable-enabling proof: which
-	// places does any gate transform write, and how many activities consume
-	// (input-arc) each place. Probing runs every transform against synthetic
-	// markings with panic recovery, exactly like Analyze.
-	ps := newProbeSet(len(m.places))
-	bases := baseMarkings(m.InitialMarking())
-	for _, a := range m.activities {
-		for _, g := range a.inputGates {
-			if g.Transform != nil {
-				fn := g.Transform
-				ps.probe(bases, func(pm *probeMarking) { fn(pm) })
-			}
-		}
-		for _, c := range a.cases {
-			for _, og := range c.OutputGates {
-				if og.Transform != nil {
-					fn := og.Transform
-					ps.probe(bases, func(pm *probeMarking) { fn(pm) })
-				}
-			}
-		}
-	}
-	consumers := make([]int, len(m.places))
-	for _, a := range m.activities {
-		for _, arc := range a.inputArcs {
-			consumers[arc.Place.index]++
-		}
-	}
+	proof := newStabilityProof(m)
 
 	refuse := func(a *Activity, format string, args ...any) {
 		report.Refusals = append(report.Refusals, fmt.Sprintf(
@@ -234,15 +251,14 @@ func ExpandPhases(m *Model) (*ExpansionReport, error) {
 			}
 			continue
 		}
-		if DelayLumpability("delay", d) == "" {
-			continue // already memoryless
-		}
-		rates, ok := phaseRates(d)
-		if !ok {
+		rates, verdict := phaseChain(d)
+		switch verdict {
+		case chainMemoryless:
+			continue
+		case chainNoForm:
 			refuse(a, "%s has no exact finite phase-type form", dist.Describe(d))
 			continue
-		}
-		if len(rates) > maxExpansionPhases {
+		case chainOverBudget:
 			refuse(a, "%s needs %d phases, beyond the %d-phase budget",
 				dist.Describe(d), len(rates), maxExpansionPhases)
 			continue
@@ -259,13 +275,14 @@ func ExpandPhases(m *Model) (*ExpansionReport, error) {
 				refuse(a, "input-gate enabling cannot be proven stable across the phase chain")
 				continue
 			}
+			ps := proof.gateWrites()
 			if ps.opaque && len(a.inputArcs) > 0 {
 				refuse(a, "a gate transform is unanalyzable, so enabling stability cannot be proven")
 				continue
 			}
 			unstable := ""
 			for _, arc := range a.inputArcs {
-				if consumers[arc.Place.index] > 1 {
+				if proof.consumers[arc.Place.index] > 1 {
 					unstable = fmt.Sprintf("input place %q has other consumers", arc.Place.name)
 					break
 				}
@@ -294,6 +311,57 @@ func ExpandPhases(m *Model) (*ExpansionReport, error) {
 		return nil, err
 	}
 	return report, nil
+}
+
+// stabilityProof is the static evidence behind the chain rewrites'
+// stable-enabling proof: how many activities consume (input-arc) each place,
+// and which places some gate transform writes. The write set comes from
+// probing every transform against synthetic markings with panic recovery,
+// exactly like Analyze. That probing is the costly part and only a
+// multi-phase chain reads it, so gateWrites runs it on first use. The
+// transforms and the initial marking are captured when the proof is made,
+// so a late probe sees the model as it was before any rewrite added gates
+// or places.
+type stabilityProof struct {
+	consumers  []int
+	transforms []GateFunc
+	initial    []int
+	ps         *probeSet
+}
+
+func newStabilityProof(m *Model) *stabilityProof {
+	sp := &stabilityProof{consumers: make([]int, len(m.places)), initial: m.InitialMarking()}
+	for _, a := range m.activities {
+		for _, arc := range a.inputArcs {
+			sp.consumers[arc.Place.index]++
+		}
+		for _, g := range a.inputGates {
+			if g.Transform != nil {
+				sp.transforms = append(sp.transforms, g.Transform)
+			}
+		}
+		for _, c := range a.cases {
+			for _, og := range c.OutputGates {
+				if og.Transform != nil {
+					sp.transforms = append(sp.transforms, og.Transform)
+				}
+			}
+		}
+	}
+	return sp
+}
+
+// gateWrites returns the places the captured gate transforms write,
+// probing them on the first call.
+func (sp *stabilityProof) gateWrites() *probeSet {
+	if sp.ps == nil {
+		sp.ps = newProbeSet(len(sp.initial))
+		bases := baseMarkings(sp.initial)
+		for _, fn := range sp.transforms {
+			sp.ps.probe(bases, func(pm *probeMarking) { fn(pm) })
+		}
+	}
+	return sp.ps
 }
 
 // delayLumpabilityAt classifies a marking-dependent delay at a fixed

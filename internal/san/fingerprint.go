@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/dist"
 )
@@ -140,6 +142,9 @@ func (cm *CompiledModel) Fingerprint() string {
 type fpWriter struct {
 	h   hash.Hash
 	buf [10]byte
+	// text is reused to feed strings to the digest without a per-token
+	// allocation.
+	text []byte
 }
 
 // write feeds bytes to the digest. hash.Hash.Write is documented to never
@@ -154,7 +159,8 @@ func (w *fpWriter) write(b []byte) {
 func (w *fpWriter) str(s string) {
 	binary.LittleEndian.PutUint64(w.buf[:8], uint64(len(s)))
 	w.write(w.buf[:8])
-	w.write([]byte(s))
+	w.text = append(w.text[:0], s...)
+	w.write(w.text)
 }
 
 func (w *fpWriter) num(n int) {
@@ -176,18 +182,33 @@ func (w *fpWriter) bool(b bool) {
 }
 
 // fingerprintProbes builds the deterministic probe markings closures are
-// evaluated against: the analyzer's base markings (all-zero, initial, all-one,
-// all-two) plus, for read-set sensitivity, per-place bumps of the initial
-// marking. The per-place bumps are applied lazily per closure — only to the
-// places the closure actually reads — so fingerprinting stays linear in model
-// size even for models with thousands of places.
+// evaluated against: the analyzer's base markings (all-zero, initial,
+// all-one, all-two) plus, for read-set sensitivity, per-place bumps of the
+// initial marking. The per-place bumps are applied lazily per closure — only
+// to the places the closure actually reads — and every probe reads through
+// to a shared base (see probeMarking). A closure that touches k places
+// therefore costs 4 + 2k probes of O(k) each, independent of the model's
+// place count n, and a fingerprint costs O(n) once plus the sum of its
+// closures' probe costs: O(model) for closures that each read a bounded
+// number of places.
 type fpProbes struct {
 	bases   [][]int
 	initial []int
+	pm      *probeMarking
+	// closure numbers the current closure; seen[i] == closure marks place i
+	// as already on the closure's read set.
+	closure uint32
+	seen    []uint32
+	pending []int
 }
 
 func fingerprintProbes(initial []int) *fpProbes {
-	return &fpProbes{bases: baseMarkings(initial), initial: initial}
+	return &fpProbes{
+		bases:   baseMarkings(initial),
+		initial: initial,
+		pm:      newProbeMarking(len(initial)),
+		seen:    make([]uint32, len(initial)),
+	}
 }
 
 // run evaluates fn on every base marking, discovers the closure's read set,
@@ -195,31 +216,49 @@ func fingerprintProbes(initial []int) *fpProbes {
 // marking. record receives every observation in a deterministic order; a
 // panicking evaluation records a fixed marker instead.
 func (p *fpProbes) run(eval func(pm *probeMarking) (float64, bool), record func(v float64, panicked bool)) {
-	n := len(p.initial)
-	reads := make([]bool, n)
-	evalAt := func(tokens []int) {
-		pm := &probeMarking{tokens: tokens, reads: make([]bool, n), writes: make([]bool, n)}
+	p.closure++
+	if p.closure == 0 {
+		clear(p.seen)
+		p.closure = 1
+	}
+	pm := p.pm
+	pending := p.pending[:0]
+	for _, base := range p.bases {
+		pm.reset(base, false)
 		v, ok := eval(pm)
 		record(v, !ok)
-		for i, r := range pm.reads {
-			reads[i] = reads[i] || r
+		for _, i := range pm.reads {
+			if p.seen[i] != p.closure {
+				p.seen[i] = p.closure
+				pending = append(pending, i)
+			}
 		}
 	}
-	for _, base := range p.bases {
-		evalAt(append([]int(nil), base...))
-	}
+	sort.Ints(pending)
 	// Per-read-place sensitivity: bump each place the closure read, one at a
 	// time, in place-index order.
-	for pi := 0; pi < n; pi++ {
-		if !reads[pi] {
-			continue
-		}
-		for _, bump := range []int{1, 3} {
-			tokens := append([]int(nil), p.initial...)
-			tokens[pi] += bump
-			evalAt(tokens)
+	for k := 0; k < len(pending); k++ {
+		pi := pending[k]
+		for _, bump := range [2]int{1, 3} {
+			pm.reset(p.initial, false)
+			pm.set(pi, p.initial[pi]+bump)
+			v, ok := eval(pm)
+			record(v, !ok)
+			// A place first read under a bump joins the pass only when it
+			// comes after pi, keeping the bumps in one ascending sweep.
+			for _, i := range pm.reads {
+				if p.seen[i] == p.closure {
+					continue
+				}
+				p.seen[i] = p.closure
+				if i > pi {
+					at := k + 1 + sort.SearchInts(pending[k+1:], i)
+					pending = slices.Insert(pending, at, i)
+				}
+			}
 		}
 	}
+	p.pending = pending
 }
 
 // probeFloat hashes the observed outputs of a float-valued closure over the
@@ -258,11 +297,10 @@ func (w *fpWriter) probeTransform(probes *fpProbes, fn GateFunc) {
 			// Fold the post-transform marking of written places into one
 			// deterministic observation stream via the writer callback; the
 			// scalar return is unused for transforms.
-			for pi, written := range pm.writes {
-				if written {
-					w.num(pi)
-					w.num(pm.tokens[pi])
-				}
+			sort.Ints(pm.writes)
+			for _, pi := range pm.writes {
+				w.num(pi)
+				w.num(pm.value(pi))
 			}
 			return 0, true
 		},

@@ -105,10 +105,14 @@ func (c *SolveCache) snapshot() map[solveKey]bool {
 // pre-pass, hoisted out of Run so the cache can execute it once per key. A
 // nil rewards map with a nil error means the point must simulate, with the
 // evidence in the returned Solver.
+//
+// The expansion retry runs only when cm.HasExpandableDelay: without an
+// expandable delay ExpandPhases rewrites nothing and the retry's result would
+// be discarded, so the rebuild and the pass are skipped.
 func solvePoint(cfg abe.Config, cm *san.CompiledModel, mission, fitTol float64) (map[string]float64, Solver, error) {
 	var out Solver
 	gen, cert := statespace.Certify(cm, statespace.Options{})
-	if !cert.Certified() && hasPrefix(cert.Refusals, san.RefusalNonMemoryless) {
+	if !cert.Certified() && hasPrefix(cert.Refusals, san.RefusalNonMemoryless) && cm.HasExpandableDelay() {
 		// Phase-type expansion retry: rebuild the point's model fresh
 		// (ExpandPhases mutates its input and the simulation fallback must
 		// keep the original compiled model bit-identical), expand, and
