@@ -47,7 +47,8 @@ bench:
 
 # Compare the last `make bench` run (BENCH_sweep.json) against the committed
 # BENCH_baseline.json: print every metric's delta, and fail when a
-# BenchmarkFigure4Sweep row more than doubles its allocs/op. Wall times on a
+# BenchmarkFigure4Sweep or BenchmarkPetascalePoint row more than doubles its
+# allocs/op. Wall times on a
 # shared machine are too noisy to gate; allocation counts are not.
 bench-compare:
 	$(GO) run ./cmd/benchjson compare -base BENCH_baseline.json -cur BENCH_sweep.json

@@ -18,8 +18,12 @@ import (
 const maxAllocGrowth = 2
 
 // stableRows are the benchmarks whose allocs/op compare gates: the Figure 4
-// sweep pair, whose pre-pass must stay O(model).
-var stableRows = []string{"BenchmarkFigure4Sweep/sharded", "BenchmarkFigure4Sweep/per-config"}
+// sweep pair, whose pre-pass must stay O(model), and the petascale point
+// pair, whose simulations must keep reusing their run state.
+var stableRows = []string{
+	"BenchmarkFigure4Sweep/sharded", "BenchmarkFigure4Sweep/per-config",
+	"BenchmarkPetascalePoint/flat", "BenchmarkPetascalePoint/lumped",
+}
 
 // runCompare implements `benchjson compare`: it prints the per-metric deltas
 // of a bench run against the committed baseline and fails when one of the

@@ -11,8 +11,8 @@
 //	benchjson compare -base BENCH_baseline.json -cur BENCH_sweep.json
 //
 // The compare subcommand prints every metric's delta against the baseline
-// and exits non-zero when a BenchmarkFigure4Sweep row more than doubles its
-// allocs/op.
+// and exits non-zero when one of the stable rows (the BenchmarkFigure4Sweep
+// and BenchmarkPetascalePoint pairs) more than doubles its allocs/op.
 package main
 
 import (

@@ -90,7 +90,8 @@ type InfrastructureConfig struct {
 	// FabricMTBFHours is the mean time between outages of the OSS-DDN
 	// network fabric and other shared components.
 	FabricMTBFHours float64
-	// FabricRepairLoHours/FabricRepairHiHours bound the repair time.
+	// FabricRepairLoHours/FabricRepairHiHours bound the uniform repair time;
+	// equal bounds make it deterministic.
 	FabricRepairLoHours float64
 	FabricRepairHiHours float64
 	// ExponentialRepair replaces the uniform fabric repair window with an
@@ -503,8 +504,12 @@ func Build(m *san.Model, cfg Config) (*ModelPlaces, error) {
 	} else if cfg.Infrastructure.ExponentialRepair {
 		fabricRepair, err = dist.NewExponentialFromMean(
 			(cfg.Infrastructure.FabricRepairLoHours + cfg.Infrastructure.FabricRepairHiHours) / 2)
+	} else if lo, hi := cfg.Infrastructure.FabricRepairLoHours, cfg.Infrastructure.FabricRepairHiHours; lo == hi {
+		// A zero-width window (Validate allows lo == hi, and a calibration
+		// log with a single outage yields one) is a fixed repair time.
+		fabricRepair, err = dist.NewDeterministic(lo)
 	} else {
-		fabricRepair, err = dist.NewUniform(cfg.Infrastructure.FabricRepairLoHours, cfg.Infrastructure.FabricRepairHiHours)
+		fabricRepair, err = dist.NewUniform(lo, hi)
 	}
 	if err != nil {
 		return nil, err

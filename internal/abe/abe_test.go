@@ -612,3 +612,35 @@ func TestMiniErlangConfig(t *testing.T) {
 		t.Errorf("negative stage count must be rejected with ErrBadConfig, got %v", err)
 	}
 }
+
+// TestBuildAcceptsZeroWidthFabricRepair pins that Build accepts every
+// configuration Validate accepts when the fabric repair window has zero
+// width (lo == hi), as a calibration log with a single outage produces: the
+// uniform, exponential and Erlang repair forms must all build.
+func TestBuildAcceptsZeroWidthFabricRepair(t *testing.T) {
+	forms := map[string]func(*Config){
+		"uniform":     func(*Config) {},
+		"exponential": func(c *Config) { c.Infrastructure.ExponentialRepair = true },
+		"erlang":      func(c *Config) { c.Infrastructure.ErlangRepairStages = 3 },
+	}
+	for _, base := range []Config{ABE(), MiniExponential(), MiniErlang(), MiniWeibull()} {
+		for name, form := range forms {
+			cfg := base
+			form(&cfg)
+			cfg.Infrastructure.FabricRepairLoHours = 12
+			cfg.Infrastructure.FabricRepairHiHours = 12
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s/%s: Validate rejected a zero-width window: %v", base.Name, name, err)
+			}
+			m := san.NewModel(cfg.Name)
+			mp, err := Build(m, cfg)
+			if err != nil {
+				t.Errorf("%s/%s: Build rejected a config Validate accepts: %v", base.Name, name, err)
+				continue
+			}
+			if _, err := san.Compile(m, mp.Rewards()); err != nil {
+				t.Errorf("%s/%s: %v", base.Name, name, err)
+			}
+		}
+	}
+}

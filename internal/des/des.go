@@ -1,251 +1,203 @@
-// Package des provides the discrete-event simulation core shared by the
-// stochastic-activity-network simulator and the specialized component
-// simulators: a future-event list implemented as a binary heap, a simulation
-// clock, and cancellable event handles.
+// Package des is the discrete-event core of the stochastic-activity-network
+// simulator: a future-event list and simulation clock keyed by activity.
+//
+// Every timed activity has at most one pending completion, so the list is a
+// binary min-heap of inline {time, seq, activity} entries plus the heap
+// position of each activity's entry. Entries are ordered by completion time,
+// then by insertion sequence, which makes the firing order a total order
+// independent of the heap's layout. Scheduling, rescheduling, canceling and
+// firing move entries within one slice, so a replication allocates nothing
+// once the heap has grown to the model's number of concurrently pending
+// activities.
 //
 // Time is a float64 in hours, consistent with the rest of the repository.
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"math"
 )
 
-// Handler is the callback invoked when an event fires. The engine passes the
-// event's scheduled time (which equals the current clock).
-type Handler func(now float64)
+// ErrPastEvent is returned when an entry is scheduled before the clock or
+// at a NaN time.
+var ErrPastEvent = errors.New("des: cannot schedule an event in the past")
 
-// Event is a scheduled occurrence. Events are ordered by time, then by
-// priority (higher first), then by insertion sequence for determinism.
-type Event struct {
-	time     float64
-	priority int
-	seq      uint64
-	index    int // heap index, -1 once removed
-	handler  Handler
-	canceled bool
+// Queue is the future-event list and clock of one replication. It is not
+// safe for concurrent use; each simulator owns one and reuses it across
+// replications through ResumeAt.
+type Queue struct {
+	heap []entry
+	pos  []int32 // heap index of each activity's pending entry, -1 if none
+
+	seq     uint64  // insertion sequence of the next scheduled entry
+	now     float64 // simulation clock: the time of the last fired entry
+	fired   uint64  // entries fired so far
+	stopped bool    // set by Stop; Next then fires nothing more
 }
 
-// Time returns the time at which the event is scheduled to fire.
-func (e *Event) Time() float64 { return e.time }
+// entry is one pending activity completion.
+type entry struct {
+	time float64
+	seq  uint64
+	act  int32
+}
 
-// Sequence returns the engine-assigned insertion sequence, the tiebreaker
-// among events scheduled at the same time. Checkpointing code records it so
-// a restored run re-schedules tied events in their original relative order.
-func (e *Event) Sequence() uint64 { return e.seq }
+// before is the firing order: time first, then insertion sequence.
+func (e entry) before(o entry) bool {
+	return e.time < o.time || (e.time == o.time && e.seq < o.seq)
+}
 
-// Canceled reports whether the event has been canceled.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// eventHeap implements heap.Interface over events.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// NewQueue returns an empty queue with the clock at 0 for a model with the
+// given number of activities, with room for all of them to be pending at
+// once.
+func NewQueue(activities int) Queue {
+	pos := make([]int32, activities)
+	for i := range pos {
+		pos[i] = -1
 	}
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
+	return Queue{heap: make([]entry, 0, activities), pos: pos}
+}
+
+// Now returns the simulation clock: the time of the last fired entry.
+func (q *Queue) Now() float64 { return q.now }
+
+// Fired returns the number of entries fired so far.
+func (q *Queue) Fired() uint64 { return q.fired }
+
+// Len returns the number of pending entries.
+func (q *Queue) Len() int { return len(q.heap) }
+
+// ResumeAt drops every pending entry and restarts the clock at now with
+// fired completions already counted: now = 0, fired = 0 for a new
+// replication, a snapshot's time and event count to continue one. The
+// insertion sequence restarts too, so a reused queue orders entries exactly
+// as a new one would. Clearing costs O(pending), not O(activities).
+func (q *Queue) ResumeAt(now float64, fired uint64) {
+	for _, e := range q.heap {
+		q.pos[e.act] = -1
 	}
-	return h[i].seq < h[j].seq
+	q.heap = q.heap[:0]
+	q.seq = 0
+	q.now = now
+	q.fired = fired
+	q.stopped = false
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x interface{}) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// Engine is a single-threaded discrete-event engine. It is not safe for
-// concurrent use; run one Engine per replication (optionally in parallel
-// goroutines, each with its own Engine).
-type Engine struct {
-	now     float64
-	queue   eventHeap
-	seq     uint64
-	stopped bool
-	events  uint64 // fired events, for diagnostics
-
-	// slab batches Event allocations. Simulations that reschedule heavily
-	// (marking-dependent delays resampled on every rate change) create many
-	// short-lived events; carving them out of chunks instead of one
-	// allocation each keeps the scheduling hot path off the allocator.
-	// Events are never reused, so handles stay valid after firing or
-	// cancellation exactly as before.
-	slab []Event
-}
-
-// newEvent carves one event out of the current slab.
-func (e *Engine) newEvent() *Event {
-	if len(e.slab) == 0 {
-		e.slab = make([]Event, 256)
+// Schedule sets act's pending completion to time t, replacing any entry it
+// already has; the entry takes the next insertion sequence either way, as a
+// cancel followed by a fresh schedule would. A NaN time or one before the
+// clock is refused with ErrPastEvent and leaves the queue unchanged.
+func (q *Queue) Schedule(act int, t float64) error {
+	if !(t >= q.now) {
+		return fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, q.now)
 	}
-	ev := &e.slab[0]
-	e.slab = e.slab[1:]
-	return ev
-}
-
-// Common scheduling errors.
-var (
-	ErrPastEvent  = errors.New("des: cannot schedule an event in the past")
-	ErrNilHandler = errors.New("des: nil event handler")
-)
-
-// NewEngine returns an engine with the clock at 0.
-func NewEngine() *Engine {
-	return &Engine{}
-}
-
-// Now returns the current simulation time in hours.
-func (e *Engine) Now() float64 { return e.now }
-
-// Pending returns the number of scheduled (non-canceled) events. Cancel
-// removes events from the heap immediately, so the queue length is exact —
-// no canceled residents to filter out.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.events }
-
-// Schedule registers handler to run at absolute time t with priority 0.
-func (e *Engine) Schedule(t float64, handler Handler) (*Event, error) {
-	return e.ScheduleWithPriority(t, 0, handler)
-}
-
-// ScheduleAfter registers handler to run delay hours from now.
-func (e *Engine) ScheduleAfter(delay float64, handler Handler) (*Event, error) {
-	return e.Schedule(e.now+delay, handler)
-}
-
-// ScheduleWithPriority registers handler at absolute time t. Among events at
-// the same time, higher priority fires first; this is how instantaneous
-// activities preempt timed ones in the SAN simulator.
-func (e *Engine) ScheduleWithPriority(t float64, priority int, handler Handler) (*Event, error) {
-	if handler == nil {
-		return nil, ErrNilHandler
+	e := entry{time: t, seq: q.seq, act: int32(act)}
+	q.seq++
+	if i := q.pos[act]; i >= 0 {
+		q.heap[i] = e
+		q.fix(int(i))
+		return nil
 	}
-	if math.IsNaN(t) {
-		return nil, fmt.Errorf("des: NaN event time")
-	}
-	if t < e.now {
-		return nil, fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, e.now)
-	}
-	ev := e.newEvent()
-	*ev = Event{time: t, priority: priority, seq: e.seq, handler: handler}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev, nil
-}
-
-// Cancel marks the event so it will not fire. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled {
-		return
-	}
-	ev.canceled = true
-	if ev.index >= 0 {
-		heap.Remove(&e.queue, ev.index)
-		ev.index = -1
-	}
-}
-
-// Stop halts Run after the currently executing event handler returns.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Step executes the next pending event, if any, advancing the clock to its
-// time. It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.time
-		e.events++
-		ev.handler(e.now)
-		return true
-	}
-	return false
-}
-
-// Run executes events in time order until the clock would exceed horizon, the
-// event list empties, or Stop is called. The clock is left at
-// min(horizon, last event time); if events remain beyond the horizon they are
-// not executed. Run returns the number of events executed.
-func (e *Engine) Run(horizon float64) uint64 {
-	if math.IsNaN(horizon) || horizon < e.now {
-		return 0
-	}
-	e.stopped = false
-	executed := uint64(0)
-	for !e.stopped {
-		// Peek for horizon check.
-		var next *Event
-		for len(e.queue) > 0 {
-			if e.queue[0].canceled {
-				heap.Pop(&e.queue)
-				continue
-			}
-			next = e.queue[0]
-			break
-		}
-		if next == nil || next.time > horizon {
-			break
-		}
-		heap.Pop(&e.queue)
-		e.now = next.time
-		e.events++
-		executed++
-		next.handler(e.now)
-	}
-	if e.now < horizon {
-		e.now = horizon
-	}
-	return executed
-}
-
-// ResumeAt prepares the engine to continue a checkpointed run: the pending
-// queue is cleared, the clock is set to t, and the fired-event counter to
-// fired. It is the restore counterpart of the SAN simulator's snapshot
-// support; the caller re-schedules the pending events afterwards at their
-// recorded absolute times.
-func (e *Engine) ResumeAt(t float64, fired uint64) error {
-	if math.IsNaN(t) || t < 0 {
-		return fmt.Errorf("des: invalid resume time %v", t)
-	}
-	e.Reset()
-	e.now = t
-	e.events = fired
+	q.heap = append(q.heap, e)
+	q.up(len(q.heap) - 1)
 	return nil
 }
 
-// Reset clears all pending events and returns the clock to 0 so the engine
-// can be reused for another replication.
-func (e *Engine) Reset() {
-	e.queue = e.queue[:0]
-	e.now = 0
-	e.seq = 0
-	e.stopped = false
-	e.events = 0
+// Cancel removes act's pending completion, if it has one.
+func (q *Queue) Cancel(act int) {
+	i := q.pos[act]
+	if i < 0 {
+		return
+	}
+	q.pos[act] = -1
+	last := len(q.heap) - 1
+	moved := q.heap[last]
+	q.heap = q.heap[:last]
+	if int(i) != last {
+		q.heap[i] = moved
+		q.pos[moved.act] = i
+		q.fix(int(i))
+	}
+}
+
+// Pending returns the time and insertion sequence of act's pending
+// completion, if it has one.
+func (q *Queue) Pending(act int) (t float64, seq uint64, ok bool) {
+	if i := q.pos[act]; i >= 0 {
+		return q.heap[i].time, q.heap[i].seq, true
+	}
+	return 0, 0, false
+}
+
+// Stop makes Next fire nothing more until the queue is resumed.
+func (q *Queue) Stop() { q.stopped = true }
+
+// Next removes the earliest pending entry if it completes at or before
+// horizon and the queue is not stopped, advances the clock to its time,
+// counts it as fired and returns its activity. A NaN horizon fires nothing.
+func (q *Queue) Next(horizon float64) (act int, ok bool) {
+	if q.stopped || len(q.heap) == 0 || !(q.heap[0].time <= horizon) {
+		return 0, false
+	}
+	top := q.heap[0]
+	q.pos[top.act] = -1
+	last := len(q.heap) - 1
+	moved := q.heap[last]
+	q.heap = q.heap[:last]
+	if last > 0 {
+		q.heap[0] = moved
+		q.pos[moved.act] = 0
+		q.down(0)
+	}
+	q.now = top.time
+	q.fired++
+	return int(top.act), true
+}
+
+// fix restores the heap order after the entry at i changed.
+func (q *Queue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q *Queue) up(i int) {
+	h := q.heap
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		q.pos[h[i].act] = int32(i)
+		i = parent
+	}
+	h[i] = e
+	q.pos[e.act] = int32(i)
+}
+
+// down sifts the entry at i towards the leaves and reports whether it moved.
+func (q *Queue) down(i int) bool {
+	h := q.heap
+	e := h[i]
+	start := i
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h[i] = h[child]
+		q.pos[h[i].act] = int32(i)
+		i = child
+	}
+	h[i] = e
+	q.pos[e.act] = int32(i)
+	return i > start
 }

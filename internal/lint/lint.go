@@ -78,6 +78,7 @@ func DefaultConfig(root string) Config {
 			"repro/internal/sweep",
 			"repro/internal/rareevent",
 			"repro/internal/calibrate",
+			"repro/internal/des",
 			"repro/internal/dist",
 			"repro/internal/phfit",
 			"repro/internal/stats",

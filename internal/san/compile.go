@@ -103,6 +103,7 @@ func (cm *CompiledModel) NewSimulator(stream *rng.Stream) (*Simulator, error) {
 		stream:         stream,
 		maxInstFirings: 10000,
 		seenGeneration: make([]uint64, cm.model.NumActivities()),
+		st:             newRunState(cm),
 	}, nil
 }
 

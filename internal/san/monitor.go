@@ -49,11 +49,11 @@ type Snapshot struct {
 	// pending event, indexed like Model.Activities(); NaN means the activity
 	// has no pending completion.
 	Scheduled []float64
-	// ScheduledSeq holds the engine insertion sequence of each pending
+	// ScheduledSeq holds the event-queue insertion sequence of each pending
 	// event, parallel to Scheduled. Restoring re-schedules pending events in
 	// ascending sequence so ties in completion time fire in the same
-	// relative order as in the parent trajectory (the event heap breaks time
-	// ties by insertion order). May be nil for hand-built snapshots, in
+	// relative order as in the parent trajectory (the event queue breaks
+	// time ties by insertion order). May be nil for hand-built snapshots, in
 	// which case activity index order is used.
 	ScheduledSeq []uint64
 	// RateAccum, LastRate, and Impulses are the reward accumulators, indexed
@@ -84,23 +84,24 @@ func (sn *Snapshot) Clone() *Snapshot {
 // snapshot captures st at time now. Reward integrals are current through now
 // because complete integrates before observing the monitor.
 func (s *Simulator) snapshot(st *runState, now float64) *Snapshot {
+	n := s.cm.model.NumActivities()
 	snap := &Snapshot{
 		Time:         now,
 		Tokens:       append([]int(nil), st.mark.tokens...),
-		Scheduled:    make([]float64, len(st.scheduled)),
-		ScheduledSeq: make([]uint64, len(st.scheduled)),
+		Scheduled:    make([]float64, n),
+		ScheduledSeq: make([]uint64, n),
 		RateAccum:    append([]float64(nil), st.rateAccum...),
 		LastRate:     append([]float64(nil), st.lastRate...),
 		Impulses:     append([]float64(nil), st.impulses...),
 		RNG:          s.stream.State(),
-		Events:       st.engine.Fired(),
+		Events:       st.queue.Fired(),
 	}
-	for i, ev := range st.scheduled {
-		if ev == nil || ev.Canceled() {
-			snap.Scheduled[i] = math.NaN()
+	for i := range snap.Scheduled {
+		if t, seq, ok := st.queue.Pending(i); ok {
+			snap.Scheduled[i] = t
+			snap.ScheduledSeq[i] = seq
 		} else {
-			snap.Scheduled[i] = ev.Time()
-			snap.ScheduledSeq[i] = ev.Sequence()
+			snap.Scheduled[i] = math.NaN()
 		}
 	}
 	return snap
@@ -155,18 +156,15 @@ func (s *Simulator) RunFrom(snap *Snapshot, mission float64, mon *Monitor, resam
 	if err := s.stream.Restore(snap.RNG); err != nil {
 		return Result{}, err
 	}
-	st := s.newRunState()
-	st.monitor = mon
+	st := s.begin(mon)
 	copy(st.mark.tokens, snap.Tokens)
 	copy(st.rateAccum, snap.RateAccum)
 	copy(st.lastRate, snap.LastRate)
 	copy(st.impulses, snap.Impulses)
 	st.lastTime = snap.Time
-	if err := st.engine.ResumeAt(snap.Time, snap.Events); err != nil {
-		return Result{}, err
-	}
+	st.queue.ResumeAt(snap.Time, snap.Events)
 	// Re-schedule pending events in their original insertion order: the
-	// event heap breaks completion-time ties by sequence, so restoring in
+	// event queue breaks completion-time ties by sequence, so restoring in
 	// activity-index order could fire tied deterministic completions in a
 	// different order than the parent trajectory.
 	type pendingEvent struct {
@@ -189,26 +187,22 @@ func (s *Simulator) RunFrom(snap *Snapshot, mission float64, mon *Monitor, resam
 		t := snap.Scheduled[pe.index]
 		a := s.cm.model.activities[pe.index]
 		if resample != nil && resample(a) {
-			// Fresh delay from the restored marking; the engine clock is
+			// Fresh delay from the restored marking; the queue clock is
 			// already at snap.Time, so this schedules at snap.Time + delay.
 			s.scheduleCompletion(st, a)
 			continue
 		}
-		if t < snap.Time {
-			return Result{}, fmt.Errorf("san: snapshot schedules activity %q at %v before snapshot time %v",
-				a.name, t, snap.Time)
-		}
-		if err := s.scheduleCompletionAt(st, a, t); err != nil {
-			return Result{}, err
+		// The delay was already sampled by the trajectory the snapshot was
+		// taken from, so no randomness is consumed.
+		if err := st.queue.Schedule(a.index, t); err != nil {
+			return Result{}, fmt.Errorf("san: snapshot schedules activity %q: %w", a.name, err)
 		}
 	}
 
 	// The entry state may already sit at or above the (higher) threshold —
 	// e.g. when one completion jumps several importance levels at once.
 	s.observe(st, snap.Time)
-	if !(st.crossed && mon.StopOnCross) {
-		st.engine.Run(mission)
-	}
+	s.advance(st, mission)
 	if st.err != nil {
 		return Result{}, st.err
 	}

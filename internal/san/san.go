@@ -57,7 +57,8 @@ type MarkingReader interface {
 // functions when an activity completes.
 type MarkingWriter interface {
 	MarkingReader
-	// SetTokens sets the marking of p to n (n must be >= 0).
+	// SetTokens sets the marking of p to n. n must be >= 0: the simulator
+	// drops a negative write and fails the run with ErrNegativeTokens.
 	SetTokens(p *Place, n int)
 	// Add adds delta (possibly negative) tokens to p.
 	Add(p *Place, delta int)

@@ -495,12 +495,48 @@ func TestMarkingWriterRejectsNegative(t *testing.T) {
 	m := NewModel("neg")
 	p := m.AddPlace("p", 0)
 	mk := newMarking(m.InitialMarking())
-	defer func() {
-		if recover() == nil {
-			t.Error("negative SetTokens did not panic")
-		}
-	}()
 	mk.SetTokens(p, -1)
+	if !errors.Is(mk.err, ErrNegativeTokens) {
+		t.Errorf("negative SetTokens recorded %v, want ErrNegativeTokens", mk.err)
+	}
+	if got := mk.Tokens(p); got != 0 {
+		t.Errorf("negative SetTokens applied: p = %d, want 0", got)
+	}
+}
+
+// TestNegativeTokensFailTheRun pins that a gate driving a place negative
+// ends the run with an error wrapping ErrNegativeTokens — from Run, from the
+// concurrent replication runner, and on a reused simulator whose next run
+// starts clean.
+func TestNegativeTokensFailTheRun(t *testing.T) {
+	// The output gate takes a token from an always-empty place from the
+	// source's third firing (t = 3) on.
+	m := NewModel("negative-gate")
+	count := m.AddPlace("count", 0)
+	empty := m.AddPlace("empty", 0)
+	m.AddTimedActivity("tick", mustDet(t, 1)).AddOutputArc(count, 1).AddOutputGate(&OutputGate{
+		Name: "take",
+		Transform: func(mw MarkingWriter) {
+			if mw.Tokens(count) > 2 {
+				mw.Add(empty, -1)
+			}
+		},
+	})
+	rewards := []RewardVariable{{Name: "count", Mode: InstantAtEnd, Rate: func(m MarkingReader) float64 { return float64(m.Tokens(count)) }}}
+	sim := mustSimulator(t, m, rewards, rng.NewStream(1, "neg"))
+	if _, err := sim.Run(10); !errors.Is(err, ErrNegativeTokens) {
+		t.Fatalf("Run error = %v, want ErrNegativeTokens", err)
+	}
+	res, err := sim.Run(2.5)
+	if err != nil {
+		t.Fatalf("run before the gate misfires: %v", err)
+	}
+	if got := res.Rewards["count"]; got != 2 {
+		t.Errorf("count = %v, want 2", got)
+	}
+	if _, err := RunReplications(m, rewards, Options{Mission: 10, Replications: 4, Parallelism: 2}); !errors.Is(err, ErrNegativeTokens) {
+		t.Fatalf("RunReplications error = %v, want ErrNegativeTokens", err)
+	}
 }
 
 func TestRunReplicationsValidation(t *testing.T) {

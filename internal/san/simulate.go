@@ -19,6 +19,11 @@ type marking struct {
 	tokens  []int
 	touched []int  // indices of places changed since last clearTouched
 	dirty   []bool // per-place "already recorded as touched" flag
+
+	// err records the first write that would have driven a place negative.
+	// The write is dropped; the simulator checks err after every firing and
+	// stops the run with it, since a gate cannot return an error itself.
+	err error
 }
 
 func newMarking(initial []int) *marking {
@@ -27,13 +32,24 @@ func newMarking(initial []int) *marking {
 	return &marking{tokens: tokens, dirty: make([]bool, len(initial))}
 }
 
+// reset restores the initial marking in place for a new replication.
+func (m *marking) reset(initial []int) {
+	copy(m.tokens, initial)
+	m.clearTouched()
+	m.err = nil
+}
+
 // Tokens implements MarkingReader.
 func (m *marking) Tokens(p *Place) int { return m.tokens[p.index] }
 
-// SetTokens implements MarkingWriter.
+// SetTokens implements MarkingWriter. A negative n is not applied: it is
+// recorded as an ErrNegativeTokens error that ends the run.
 func (m *marking) SetTokens(p *Place, n int) {
 	if n < 0 {
-		panic(fmt.Errorf("%w: place %q set to %d", ErrNegativeTokens, p.name, n))
+		if m.err == nil {
+			m.err = fmt.Errorf("%w: place %q set to %d", ErrNegativeTokens, p.name, n)
+		}
+		return
 	}
 	if m.tokens[p.index] != n {
 		m.tokens[p.index] = n
@@ -73,12 +89,18 @@ type Result struct {
 // Simulator runs terminating simulations of a SAN model. It is a light
 // per-worker handle over a shared, immutable CompiledModel: all structure
 // and derived indexes live on the compiled model, so constructing a
-// Simulator from one (CompiledModel.NewSimulator) is O(activities) — just
-// the per-simulator scratch — while the O(model) validation and index
-// derivation happen once, in Compile.
+// Simulator from one (CompiledModel.NewSimulator) is O(places + activities)
+// — just the per-simulator run state — while the O(model) validation and
+// index derivation happen once, in Compile. A Simulator is not safe for
+// concurrent use.
 type Simulator struct {
 	cm     *CompiledModel
 	stream *rng.Stream
+
+	// st is the state of the current (or last) replication. Every Run and
+	// RunFrom resets it in place, so steady-state replications reuse its
+	// marking, event queue and accumulators instead of reallocating them.
+	st runState
 
 	// seenGeneration/currentGeneration implement an allocation-free "visited
 	// this event" set over activities for reconcile.
@@ -101,11 +123,11 @@ type impulseBinding struct {
 var ErrUnstableModel = errors.New("san: instantaneous activity loop (unstable model)")
 
 // Reset prepares the simulator to run another independent replication
-// drawing randomness from stream. All per-run state lives in the run itself,
-// so Reset only swaps the random stream; the compiled model — which depends
-// solely on the immutable model and reward variables — is kept, making
-// Reset+Run much cheaper than constructing a new Simulator for every
-// replication of a large composed model.
+// drawing randomness from stream. Run and RunFrom reset the per-run state
+// in place, so Reset only swaps the random stream; the compiled model and
+// the run state's buffers are kept, making Reset+Run much cheaper than
+// constructing a new Simulator for every replication of a large composed
+// model.
 func (s *Simulator) Reset(stream *rng.Stream) error {
 	if stream == nil {
 		return errors.New("san: nil random stream")
@@ -117,15 +139,12 @@ func (s *Simulator) Reset(stream *rng.Stream) error {
 // Compiled returns the compiled model the simulator runs.
 func (s *Simulator) Compiled() *CompiledModel { return s.cm }
 
-// runState is the per-replication mutable state.
+// runState is the per-replication mutable state. It belongs to its
+// Simulator and is reused: begin (and RunFrom after it) overwrites every
+// field in place, so a replication allocates only its Result.
 type runState struct {
-	mark      *marking
-	engine    *des.Engine
-	scheduled []*des.Event // per-activity pending completion (nil if not scheduled)
-	// handlers caches the per-activity completion callback so rescheduling —
-	// which reactivating marking-dependent activities do on every rate
-	// change — does not allocate a fresh closure each time.
-	handlers []des.Handler
+	mark  *marking
+	queue des.Queue
 
 	// Reward accumulation.
 	rateAccum []float64 // integral of rate reward so far
@@ -133,8 +152,9 @@ type runState struct {
 	lastTime  float64
 	impulses  []float64
 
-	// err records a fatal model error (e.g. ErrUnstableModel) raised inside an
-	// event handler, where it cannot be returned directly; Run surfaces it.
+	// err records a fatal model error (ErrUnstableModel, ErrNegativeTokens)
+	// raised inside a completion, where it cannot be returned directly; the
+	// completion stops the queue and Run surfaces the error.
 	err error
 
 	// monitor, when non-nil, observes the importance function after every
@@ -143,36 +163,55 @@ type runState struct {
 	crossed bool
 }
 
-func (s *Simulator) newRunState() *runState {
-	return &runState{
-		mark:      newMarking(s.cm.initial),
-		engine:    des.NewEngine(),
-		scheduled: make([]*des.Event, s.cm.model.NumActivities()),
-		handlers:  make([]des.Handler, s.cm.model.NumActivities()),
-		rateAccum: make([]float64, len(s.cm.rewards)),
-		lastRate:  make([]float64, len(s.cm.rewards)),
-		impulses:  make([]float64, len(s.cm.rewards)),
+func newRunState(cm *CompiledModel) runState {
+	return runState{
+		mark:      newMarking(cm.initial),
+		queue:     des.NewQueue(cm.model.NumActivities()),
+		rateAccum: make([]float64, len(cm.rewards)),
+		lastRate:  make([]float64, len(cm.rewards)),
+		impulses:  make([]float64, len(cm.rewards)),
 	}
 }
 
-// handlerFor returns the cached completion callback of a for this run.
-func (s *Simulator) handlerFor(st *runState, a *Activity) des.Handler {
-	h := st.handlers[a.index]
-	if h == nil {
-		h = func(now float64) {
-			st.scheduled[a.index] = nil
-			s.complete(st, a, now)
+// begin resets the run state in place for a new replication at time 0,
+// observed by mon (may be nil).
+func (s *Simulator) begin(mon *Monitor) *runState {
+	st := &s.st
+	st.mark.reset(s.cm.initial)
+	st.queue.ResumeAt(0, 0)
+	clear(st.rateAccum)
+	clear(st.lastRate)
+	clear(st.impulses)
+	st.lastTime = 0
+	st.err = nil
+	st.monitor = mon
+	st.crossed = false
+	return st
+}
+
+// fail records a fatal model error and stops the run.
+func (st *runState) fail(err error) {
+	st.err = err
+	st.queue.Stop()
+}
+
+// advance fires pending completions in (time, insertion sequence) order
+// until the next one lies beyond horizon, none is left, or the run stops.
+func (s *Simulator) advance(st *runState, horizon float64) {
+	for {
+		act, ok := st.queue.Next(horizon)
+		if !ok {
+			return
 		}
-		st.handlers[a.index] = h
+		s.complete(st, s.cm.model.activities[act], st.queue.Now())
 	}
-	return h
 }
 
 // finishRun closes out reward integration at the mission end and assembles
 // the replication result.
 func (s *Simulator) finishRun(st *runState, mission float64) Result {
 	s.integrateRates(st, mission)
-	res := Result{Rewards: make(map[string]float64, len(s.cm.rewards)), Events: st.engine.Fired(), FinalTime: mission}
+	res := Result{Rewards: make(map[string]float64, len(s.cm.rewards)), Events: st.queue.Fired(), FinalTime: mission}
 	for i, rv := range s.cm.rewards {
 		switch rv.Mode {
 		case TimeAveraged:
@@ -202,8 +241,7 @@ func (s *Simulator) RunMonitored(mission float64, mon *Monitor) (Result, error) 
 	if !(mission > 0) || math.IsInf(mission, 0) || math.IsNaN(mission) {
 		return Result{}, fmt.Errorf("san: invalid mission time %v", mission)
 	}
-	st := s.newRunState()
-	st.monitor = mon
+	st := s.begin(mon)
 
 	// Resolve initial instantaneous activities, then schedule enabled timed
 	// activities, then capture initial reward rates.
@@ -214,14 +252,11 @@ func (s *Simulator) RunMonitored(mission float64, mon *Monitor) (Result, error) 
 		s.refreshActivity(st, a)
 	}
 	s.snapshotRates(st)
-	// The initial marking may already sit at or above the threshold. Engine.Run
-	// clears the stop flag on entry, so an absorbing crossing at t=0 must skip
-	// the run rather than rely on observe's Stop call.
+	// The initial marking may already sit at or above the threshold; an
+	// absorbing crossing stops the queue before anything fires.
 	s.observe(st, 0)
 
-	if !(st.crossed && mon.StopOnCross) {
-		st.engine.Run(mission)
-	}
+	s.advance(st, mission)
 	if st.err != nil {
 		return Result{}, st.err
 	}
@@ -257,45 +292,26 @@ func (s *Simulator) refreshActivity(st *runState, a *Activity) {
 		return
 	}
 	enabled := a.enabled(st.mark)
-	pending := st.scheduled[a.index]
+	_, _, pending := st.queue.Pending(a.index)
 	switch {
-	case enabled && pending == nil:
+	case enabled && (!pending || a.reactivate):
 		s.scheduleCompletion(st, a)
-	case !enabled && pending != nil:
-		st.engine.Cancel(pending)
-		st.scheduled[a.index] = nil
-	case enabled && pending != nil && a.reactivate:
-		st.engine.Cancel(pending)
-		st.scheduled[a.index] = nil
-		s.scheduleCompletion(st, a)
+	case !enabled && pending:
+		st.queue.Cancel(a.index)
 	}
 }
 
+// scheduleCompletion samples a's delay from the current marking and
+// (re)schedules its completion that far past the clock.
 func (s *Simulator) scheduleCompletion(st *runState, a *Activity) {
 	d := a.delay(st.mark)
 	delay := d.Sample(s.stream)
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
-	ev, err := st.engine.ScheduleAfter(delay, s.handlerFor(st, a))
-	if err != nil {
-		// ScheduleAfter only fails for NaN/negative times, which the clamp
-		// above prevents; treat any residual failure as a disabled activity.
-		return
+	if err := st.queue.Schedule(a.index, st.queue.Now()+delay); err != nil {
+		st.fail(err)
 	}
-	st.scheduled[a.index] = ev
-}
-
-// scheduleCompletionAt registers a pending completion of a at the absolute
-// time t. It is the snapshot-restore path: the delay was already sampled by
-// the trajectory the snapshot was taken from, so no randomness is consumed.
-func (s *Simulator) scheduleCompletionAt(st *runState, a *Activity, t float64) error {
-	ev, err := st.engine.Schedule(t, s.handlerFor(st, a))
-	if err != nil {
-		return err
-	}
-	st.scheduled[a.index] = ev
-	return nil
 }
 
 // complete fires activity a at time now: integrates rewards up to now,
@@ -312,6 +328,10 @@ func (s *Simulator) complete(st *runState, a *Activity, now float64) {
 	}
 	s.integrateRates(st, now)
 	s.fire(st, a)
+	if st.mark.err != nil {
+		st.fail(st.mark.err)
+		return
+	}
 
 	// Earn impulse rewards for this completion.
 	for _, ib := range s.cm.impulsesByActivity[a.index] {
@@ -321,8 +341,7 @@ func (s *Simulator) complete(st *runState, a *Activity, now float64) {
 	if err := s.fireInstantaneous(st); err != nil {
 		// Record the instability and stop the run; Run returns the error to
 		// its caller instead of silently delivering truncated-run rewards.
-		st.err = err
-		st.engine.Stop()
+		st.fail(err)
 		return
 	}
 	changed := len(st.mark.touched) > 0
@@ -363,7 +382,7 @@ func (s *Simulator) observe(st *runState, now float64) {
 		mon.OnCross(now, s.snapshot(st, now))
 	}
 	if mon.StopOnCross {
-		st.engine.Stop()
+		st.queue.Stop()
 	}
 }
 
@@ -465,6 +484,9 @@ func (s *Simulator) fireInstantaneous(st *runState) error {
 		for _, a := range s.cm.instantaneous {
 			if a.enabled(st.mark) {
 				s.fire(st, a)
+				if st.mark.err != nil {
+					return st.mark.err
+				}
 				for _, ib := range s.cm.impulsesByActivity[a.index] {
 					st.impulses[ib.rewardIndex] += ib.fn(st.mark)
 				}
