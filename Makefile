@@ -2,12 +2,16 @@ GO ?= go
 # BENCHTIME tunes the bench target (e.g. BENCHTIME=1x for a CI smoke pass).
 BENCHTIME ?= 1s
 
-.PHONY: all build lint test race vet bench bench-compare bench-all cover examples paper-smoke clean
+.PHONY: all build fmt-check lint test race vet bench bench-compare bench-all cover examples paper-smoke clean
 
 all: build vet lint test
 
 build:
 	$(GO) build ./...
+
+# Fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 # Static analysis: the determinism contract (no wall clock, no global rand,
 # no unordered map iteration in the deterministic packages) and the model
@@ -44,6 +48,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure4Sweep|BenchmarkPetascalePoint|BenchmarkSolverVsSimulation|BenchmarkFitSolverVsSimulation|BenchmarkExploreSolve|BenchmarkSweepSolveCache' -benchmem -benchtime $(BENCHTIME) -timeout 60m . > BENCH_sweep.txt || { cat BENCH_sweep.txt; exit 1; }
 	cat BENCH_sweep.txt
 	$(GO) run ./cmd/benchjson -in BENCH_sweep.txt -out BENCH_sweep.json
+	test -s BENCH_sweep.json
 
 # Compare the last `make bench` run (BENCH_sweep.json) against the committed
 # BENCH_baseline.json: print every metric's delta, and fail when a

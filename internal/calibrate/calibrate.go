@@ -51,6 +51,10 @@ const (
 // ErrNoLogs reports a calibration invoked without logs.
 var ErrNoLogs = errors.New("calibrate: nil logs")
 
+// ErrNoOutages reports a SAN log without outage records: the fabric MTBF and
+// the outage-duration distribution cannot be identified from it.
+var ErrNoOutages = errors.New("calibrate: no outages in the SAN log, so the fabric MTBF cannot be identified")
+
 // Parameter is one derived model parameter with its provenance: where the
 // number came from (source table) and how it was computed (detail).
 type Parameter struct {
@@ -112,6 +116,9 @@ func CalibrateWith(logs *loggen.Logs, population int, base abe.Config) (*Calibra
 	var err error
 	if cal.Outages, err = loganalysis.AnalyzeOutages(logs.SAN); err != nil {
 		return nil, fmt.Errorf("calibrate: outage analysis: %w", err)
+	}
+	if len(cal.Outages.Outages) == 0 {
+		return nil, ErrNoOutages
 	}
 	if cal.Jobs, err = loganalysis.AnalyzeJobs(logs.Compute); err != nil {
 		return nil, fmt.Errorf("calibrate: job analysis: %w", err)

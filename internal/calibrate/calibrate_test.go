@@ -1,6 +1,7 @@
 package calibrate
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -297,5 +298,33 @@ func TestCalibrateWithoutMountFailures(t *testing.T) {
 	}
 	if len(cal.Mounts) != 0 {
 		t.Fatalf("expected no mount-failure days, got %d", len(cal.Mounts))
+	}
+}
+
+// TestCalibrateRefusesLogWithoutOutages: outage analysis accepts a SAN log
+// without outages, but calibration cannot identify the fabric MTBF from it
+// and must say so instead of producing a configuration.
+func TestCalibrateRefusesLogWithoutOutages(t *testing.T) {
+	cfg := loggen.ABEConfig()
+	logs, err := loggen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := logs.SAN[:0:0]
+	for _, e := range logs.SAN {
+		if e.Kind != loggen.OutageStart && e.Kind != loggen.OutageEnd {
+			kept = append(kept, e)
+		}
+	}
+	if len(kept) == len(logs.SAN) {
+		t.Fatal("generated SAN log has no outages to remove")
+	}
+	logs.SAN = kept
+	cal, err := Calibrate(logs, cfg.Disks)
+	if !errors.Is(err, ErrNoOutages) {
+		t.Fatalf("calibration of a log without outages = %v, %v; want ErrNoOutages", cal, err)
+	}
+	if !strings.Contains(err.Error(), "fabric MTBF") {
+		t.Errorf("refusal %q must name the unidentifiable fabric MTBF", err)
 	}
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/san"
 )
 
 // TestAnalyzeFigure4: every sweep point reports its lumpability verdicts,
@@ -114,5 +117,47 @@ func TestAnalysisJSONAndRender(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestAnalyzeCertificateMatchesSweep: the -analyze report and the sweep reach
+// the certificate through the same cascade, so for every figure4 design
+// variant the analysis certificate equals the Solver.Certificate of the same
+// configuration in Figure4Sweep — refused as built (base, spare OSS),
+// certified as built (exponential cross-check) and certified only after
+// phase expansion (Erlang cross-check).
+func TestAnalyzeCertificateMatchesSweep(t *testing.T) {
+	opts := Options{Quick: true, Replications: 4, MissionHours: 2190}
+	a, err := AnalyzeExperiment("figure4", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Figure4Sweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept := map[string]*san.Certificate{}
+	for _, pt := range res.Points {
+		swept[pt.Label] = pt.Solver.Certificate
+	}
+	compared := 0
+	for _, ca := range a.Configs {
+		if ca.Certificate == nil {
+			continue
+		}
+		got, ok := swept[ca.Label]
+		if !ok || got == nil {
+			t.Fatalf("variant %q: no sweep certificate for the same label", ca.Label)
+		}
+		if !reflect.DeepEqual(ca.Certificate, got) {
+			t.Errorf("variant %q: analysis certificate\n%+v\ndiffers from the sweep's\n%+v", ca.Label, ca.Certificate, got)
+		}
+		compared++
+	}
+	if compared != 4 {
+		t.Fatalf("compared %d variants, want 4 (base, spare OSS, exponential and Erlang cross-checks)", compared)
+	}
+	if erlang := a.Configs[len(a.Configs)-1].Certificate; len(erlang.Expansions) == 0 {
+		t.Fatalf("the Erlang variant must be compared on its expanded certificate: %+v", erlang)
 	}
 }

@@ -505,6 +505,24 @@ func TestPaperFull(t *testing.T) {
 	}
 }
 
+// TestPaperFullRoundTripWithoutOutages: at seed 62 the logs regenerated
+// under the calibrated parameters happen to contain no CFS outage. The round
+// trip must report that (zero outages, availability 1) instead of failing
+// the whole run.
+func TestPaperFullRoundTripWithoutOutages(t *testing.T) {
+	res, err := PaperFull(Options{Quick: true, Replications: 4, MissionHours: 2190, Seed: 62})
+	if err != nil {
+		t.Fatalf("paper_full at seed 62: %v", err)
+	}
+	re := res.RoundTrip.RederivedRates
+	if re.OutagesPerMonth != 0 || re.CFSAvailability != 1 || re.MeanOutageHours != 0 {
+		t.Fatalf("re-derived outage rates = %+v, want the no-outage log this seed produces", re)
+	}
+	if got := res.RoundTrip.RelativeError["outages_per_month"]; got != 1 {
+		t.Errorf("outages_per_month round-trip error = %v, want 1", got)
+	}
+}
+
 func TestPaperFullDeterministicAcrossParallelism(t *testing.T) {
 	serial := quick()
 	serial.Parallelism = 1

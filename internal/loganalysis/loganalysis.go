@@ -91,7 +91,9 @@ func (r OutageReport) OutageDurations() []float64 {
 // availability over the log window. Overlapping outages are coalesced
 // (causal filtering: a network blip reported during an I/O hardware outage
 // is not double-counted); an OUTAGE_START without a matching OUTAGE_END is
-// closed at the window end.
+// closed at the window end. A log without outage records is a valid
+// observation: the report has no outages and availability 1 over the event
+// window.
 func AnalyzeOutages(events []loggen.Event) (OutageReport, error) {
 	if len(events) == 0 {
 		return OutageReport{}, ErrEmptyLog
@@ -116,10 +118,6 @@ func AnalyzeOutages(events []loggen.Event) (OutageReport, error) {
 			}
 		}
 	}
-	if len(outages) == 0 {
-		return OutageReport{}, fmt.Errorf("loganalysis: no outage records in log covering %s..%s", windowStart, windowEnd)
-	}
-
 	report := OutageReport{
 		Outages:         outages,
 		WindowStart:     windowStart,

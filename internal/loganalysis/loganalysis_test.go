@@ -160,9 +160,39 @@ func TestAnalyzeOutagesErrors(t *testing.T) {
 	if _, err := AnalyzeOutages(nil); err != ErrEmptyLog {
 		t.Errorf("empty log error = %v", err)
 	}
-	noOutages := []loggen.Event{{Time: ts(1, 0), Kind: loggen.DiskReplaced, Node: "d"}}
-	if _, err := AnalyzeOutages(noOutages); err == nil {
-		t.Error("log without outages accepted")
+	oneInstant := []loggen.Event{{Time: ts(1, 0), Kind: loggen.DiskReplaced, Node: "d"}}
+	if _, err := AnalyzeOutages(oneInstant); err == nil {
+		t.Error("log with a zero-length window accepted")
+	}
+}
+
+// TestAnalyzeOutagesWithoutOutages: a SAN log with no outage records is a
+// valid observation — no outages, no downtime, availability 1 over the event
+// window — and the derived rates follow.
+func TestAnalyzeOutagesWithoutOutages(t *testing.T) {
+	events := []loggen.Event{
+		{Time: ts(1, 0), Source: "san", Node: "d1", Kind: loggen.DiskFailed, Attrs: map[string]string{"age_hours": "500"}},
+		{Time: ts(11, 0), Source: "san", Node: "d1", Kind: loggen.DiskReplaced},
+	}
+	report, err := AnalyzeOutages(events)
+	if err != nil {
+		t.Fatalf("log without outages refused: %v", err)
+	}
+	if len(report.Outages) != 0 || report.DowntimeHours != 0 || report.RawOutageHours != 0 {
+		t.Errorf("report = %+v, want no outages and no downtime", report)
+	}
+	if report.Availability != 1 {
+		t.Errorf("availability = %v, want 1", report.Availability)
+	}
+	if !report.WindowStart.Equal(ts(1, 0)) || !report.WindowEnd.Equal(ts(11, 0)) {
+		t.Errorf("window = %v..%v, want the event window", report.WindowStart, report.WindowEnd)
+	}
+	if report.MeanOutageHours() != 0 || len(report.OutageDurations()) != 0 {
+		t.Errorf("mean %v, durations %v; want 0 and none", report.MeanOutageHours(), report.OutageDurations())
+	}
+	rates := DeriveRatesFromReports(report, JobStats{TotalJobs: 1}, DiskReport{})
+	if rates.OutagesPerMonth != 0 || rates.CFSAvailability != 1 {
+		t.Errorf("derived outage rates = %+v, want 0 outages/month and availability 1", rates)
 	}
 }
 

@@ -5,12 +5,6 @@ import (
 	"strings"
 )
 
-// SubmodelBuilder adds the places and activities of one atomic submodel to
-// the composed model m. Every name it creates must be namespaced with prefix
-// (use Qualify). Shared state is expressed by capturing *Place values of the
-// enclosing composition scope, mirroring the state-sharing of a Möbius Join.
-type SubmodelBuilder func(m *Model, prefix string) error
-
 // Qualify joins a namespace prefix and a local name into a hierarchical
 // place/activity name.
 func Qualify(prefix, name string) string {
@@ -20,32 +14,13 @@ func Qualify(prefix, name string) string {
 	return prefix + "/" + name
 }
 
-// Join composes submodels under a common namespace. Each builder receives
-// the same model and a prefix of the form "<prefix>/<label>"; places created
-// outside the builders (in the caller's scope) and captured by several
-// builders play the role of the shared state variables of a Möbius Join
-// node.
-func Join(m *Model, prefix string, subs map[string]SubmodelBuilder) error {
-	// Deterministic order: sort labels so composition is reproducible.
-	labels := make([]string, 0, len(subs))
-	for label := range subs {
-		labels = append(labels, label)
-	}
-	sortStrings(labels)
-	for _, label := range labels {
-		if err := subs[label](m, Qualify(prefix, label)); err != nil {
-			return fmt.Errorf("san: join %q submodel %q: %w", prefix, label, err)
-		}
-	}
-	return nil
-}
-
 // ReplicateBuilder builds instance index of a replicated submodel.
 type ReplicateBuilder func(m *Model, prefix string, index int) error
 
 // Replicate composes n identical copies of a submodel, namespaced
-// "<prefix>[i]". As with Join, shared places are the ones the builder
-// captures from the enclosing scope rather than creates per instance.
+// "<prefix>[i]". Shared places — the shared state variables of a Möbius
+// Join node — are the ones the builder captures from the enclosing scope
+// rather than creates per instance.
 func Replicate(m *Model, prefix string, n int, build ReplicateBuilder) error {
 	if n < 0 {
 		return fmt.Errorf("san: replicate %q with negative count %d", prefix, n)
@@ -56,16 +31,6 @@ func Replicate(m *Model, prefix string, n int, build ReplicateBuilder) error {
 		}
 	}
 	return nil
-}
-
-// sortStrings is a tiny insertion sort to avoid importing sort for a handful
-// of labels in the hot path of model construction.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // CompositionNode describes one node of a replicate/join composition tree,

@@ -711,24 +711,8 @@ func TestComposeHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = Join(m, "cfs", map[string]SubmodelBuilder{
-		"meta": func(m *Model, prefix string) error {
-			m.AddPlace(Qualify(prefix, "up"), 1)
-			return nil
-		},
-		"data": func(m *Model, prefix string) error {
-			m.AddPlace(Qualify(prefix, "up"), 1)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if m.Place("component[0]/up") == nil || m.Place("component[2]/up") == nil {
 		t.Error("replicated places missing")
-	}
-	if m.Place("cfs/meta/up") == nil || m.Place("cfs/data/up") == nil {
-		t.Error("joined places missing")
 	}
 	if err := m.Validate(); err != nil {
 		t.Errorf("composed model invalid: %v", err)
@@ -737,14 +721,12 @@ func TestComposeHelpers(t *testing.T) {
 		t.Error("negative replicate count accepted")
 	}
 	// Builder errors propagate.
-	err = Join(m, "bad", map[string]SubmodelBuilder{
-		"dup": func(m *Model, prefix string) error {
-			_, err := m.AddPlaceErr("shared/clock", 0)
-			return err
-		},
+	err = Replicate(m, "bad", 1, func(m *Model, prefix string, index int) error {
+		_, err := m.AddPlaceErr("shared/clock", 0)
+		return err
 	})
 	if err == nil {
-		t.Error("join builder error not propagated")
+		t.Error("replicate builder error not propagated")
 	}
 	if got := Qualify("", "x"); got != "x" {
 		t.Errorf("Qualify empty prefix = %q", got)

@@ -378,109 +378,6 @@ func betaContinuedFraction(a, b, x float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Batch means
-// ---------------------------------------------------------------------------
-
-// BatchMeans estimates the mean of a correlated time series (e.g. a
-// steady-state reward sampled along one long run) by grouping observations
-// into batches and treating batch averages as independent.
-type BatchMeans struct {
-	batchSize int
-	current   []float64
-	batches   *Summary
-}
-
-// NewBatchMeans returns a batch-means estimator with the given batch size.
-func NewBatchMeans(batchSize int) (*BatchMeans, error) {
-	if batchSize < 1 {
-		return nil, fmt.Errorf("stats: batch size %d < 1", batchSize)
-	}
-	return &BatchMeans{batchSize: batchSize, batches: NewSummary()}, nil
-}
-
-// Add records one observation, closing a batch when it is full.
-func (b *BatchMeans) Add(x float64) {
-	b.current = append(b.current, x)
-	if len(b.current) == b.batchSize {
-		var sum float64
-		for _, v := range b.current {
-			sum += v
-		}
-		b.batches.Add(sum / float64(b.batchSize))
-		b.current = b.current[:0]
-	}
-}
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int { return b.batches.N() }
-
-// Mean returns the mean across completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// ConfidenceInterval returns the CI over completed batch means.
-func (b *BatchMeans) ConfidenceInterval(confidence float64) (Interval, error) {
-	return b.batches.ConfidenceInterval(confidence)
-}
-
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-// Histogram is a fixed-bin histogram over [lo, hi); values outside the range
-// are counted in the underflow/overflow buckets.
-type Histogram struct {
-	lo, hi    float64
-	bins      []int
-	underflow int
-	overflow  int
-	total     int
-}
-
-// NewHistogram returns a histogram with n equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n < 1 || !(hi > lo) {
-		return nil, fmt.Errorf("stats: invalid histogram [%v,%v) with %d bins", lo, hi, n)
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		idx := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if idx >= len(h.bins) {
-			idx = len(h.bins) - 1
-		}
-		h.bins[idx]++
-	}
-}
-
-// Counts returns a copy of the bin counts.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the (underflow, overflow) counts.
-func (h *Histogram) OutOfRange() (int, int) { return h.underflow, h.overflow }
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + (float64(i)+0.5)*width
-}
-
-// ---------------------------------------------------------------------------
 // Regression and correlation
 // ---------------------------------------------------------------------------
 

@@ -159,65 +159,6 @@ func TestRegularizedIncompleteBeta(t *testing.T) {
 	}
 }
 
-func TestBatchMeans(t *testing.T) {
-	bm, err := NewBatchMeans(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		bm.Add(float64(i % 10))
-	}
-	if bm.Batches() != 10 {
-		t.Errorf("Batches = %d, want 10", bm.Batches())
-	}
-	if got := bm.Mean(); math.Abs(got-4.5) > 1e-12 {
-		t.Errorf("Mean = %v, want 4.5", got)
-	}
-	ci, err := bm.ConfidenceInterval(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.HalfWidth != 0 {
-		t.Errorf("identical batches should give zero halfwidth, got %v", ci.HalfWidth)
-	}
-	if _, err := NewBatchMeans(0); err == nil {
-		t.Error("NewBatchMeans(0) succeeded")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(v)
-	}
-	counts := h.Counts()
-	want := []int{2, 1, 1, 0, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d", i, counts[i], want[i])
-		}
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("out of range = (%d,%d), want (1,2)", under, over)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("NewHistogram(5,5,3) succeeded")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("NewHistogram with 0 bins succeeded")
-	}
-}
-
 func TestLinearRegressionExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{3, 5, 7, 9, 11} // y = 2x + 1

@@ -46,16 +46,6 @@ func solverCaches(t *testing.T, res *Result) []string {
 	return labels
 }
 
-// withoutCacheLabels strips the cache labels so results can be compared for
-// the everything-else-identical property of a hit.
-func withoutCacheLabels(points []PointResult) []PointResult {
-	out := append([]PointResult(nil), points...)
-	for i := range out {
-		out[i].Solver.Cache = ""
-	}
-	return out
-}
-
 func TestSweepCacheLabelsDuplicatePoints(t *testing.T) {
 	res, err := Run(cachePoints(), testOpts())
 	if err != nil {
@@ -90,40 +80,6 @@ func TestSweepCacheLabelsDuplicatePoints(t *testing.T) {
 	}
 	if res.Points[1].Solver.Method != MethodSimulation {
 		t.Errorf("ABE point method = %q, want simulation", res.Points[1].Solver.Method)
-	}
-}
-
-func TestSweepCacheWarmReuseAcrossSweeps(t *testing.T) {
-	opts := testOpts()
-	cold, err := Run(cachePoints(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewSolveCache()
-	first, err := RunWithCache(cachePoints(), opts, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunWithCache(cachePoints(), opts, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The warm sweep reuses every memoized outcome.
-	want := []string{CacheHit, CacheHit, CacheHit, CacheHit}
-	got := make([]string, len(second.Points))
-	for i, pt := range second.Points {
-		got[i] = pt.Solver.Cache
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("warm sweep cache labels = %v, want %v", got, want)
-	}
-	// A hit is bit-identical to a recompute: cache labels aside, the warm
-	// sweep and a cold Run agree exactly.
-	if !reflect.DeepEqual(withoutCacheLabels(second.Points), withoutCacheLabels(cold.Points)) {
-		t.Error("warm sweep results differ from a cold recompute")
-	}
-	if !reflect.DeepEqual(withoutCacheLabels(first.Points), withoutCacheLabels(cold.Points)) {
-		t.Error("caller-cache sweep results differ from a cold Run")
 	}
 }
 
@@ -179,28 +135,29 @@ func TestSweepCacheForceSimulationUnlabeled(t *testing.T) {
 
 func TestSweepCacheFitTierKeysSeparately(t *testing.T) {
 	// The same configuration under a different solver cascade (fit tolerance
-	// enabled) must key separately: a warm cache from the plain cascade must
-	// not answer for the fitted one.
-	cache := NewSolveCache()
-	plain := testOpts()
-	point := []Point{{Config: abe.MiniWeibull()}}
-	first, err := RunWithCache(point, plain, cache)
+	// enabled) must never be answered by the plain cascade's outcome: the
+	// cache lives for one sweep, whose cascade is fixed, so the fitted sweep
+	// computes its own answer and shares it only within itself.
+	point := Point{Config: abe.MiniWeibull()}
+	plain, err := Run([]Point{point}, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Points[0].Solver.Method != MethodSimulation {
-		t.Fatalf("plain cascade method = %q, want simulation", first.Points[0].Solver.Method)
+	if plain.Points[0].Solver.Method != MethodSimulation {
+		t.Fatalf("plain cascade method = %q, want simulation", plain.Points[0].Solver.Method)
 	}
 	fit := testOpts()
 	fit.PHFitTolerance = 0.1
-	second, err := RunWithCache(point, fit, cache)
+	fitted, err := Run([]Point{point, point}, fit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := second.Points[0].Solver.Cache; got != CacheMiss {
-		t.Errorf("fitted cascade cache = %q, want miss (distinct tier key)", got)
+	if got := solverCaches(t, fitted); !reflect.DeepEqual(got, []string{CacheMiss, CacheHit}) {
+		t.Errorf("fitted cascade cache labels = %v, want [miss hit]", got)
 	}
-	if second.Points[0].Solver.Method != MethodUniformizationApprox {
-		t.Errorf("fitted cascade method = %q, want uniformization-approx", second.Points[0].Solver.Method)
+	for i, pt := range fitted.Points {
+		if pt.Solver.Method != MethodUniformizationApprox {
+			t.Errorf("fitted point %d method = %q, want uniformization-approx", i, pt.Solver.Method)
+		}
 	}
 }

@@ -24,14 +24,12 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/abe"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/san"
-	"repro/internal/statespace"
 	"repro/internal/stats"
 )
 
@@ -83,12 +81,11 @@ type Solver struct {
 	// Certificate is the structural certificate when certification ran (it
 	// is skipped under ForceSimulation).
 	Certificate *san.Certificate
-	// Cache is CacheMiss when this point's solver outcome was computed during
-	// the sweep and CacheHit when it was shared from an earlier point (or a
-	// warm SolveCache) with the same content fingerprint, mission, solver
-	// tier, and fit tolerance. Empty under ForceSimulation, where no solver
-	// work is cacheable. Labels are assigned in point order, never by
-	// execution timing, and a hit is byte-identical to a recompute.
+	// Cache is CacheMiss when this point's solver outcome was computed for
+	// it and CacheHit when it was shared from an earlier point of the same
+	// sweep with the same content fingerprint. Empty under ForceSimulation,
+	// where no solver work is cacheable. Labels are assigned in point order,
+	// never by execution timing, and a hit is byte-identical to a recompute.
 	Cache string
 }
 
@@ -164,13 +161,11 @@ type pointPlan struct {
 // build composes and compiles the model for cfg once.
 func (pp *pointPlan) build(cfg abe.Config) {
 	pp.buildOnce.Do(func() {
-		model := san.NewModel(cfg.Name)
-		mp, err := abe.Build(model, cfg)
+		model, rewards, err := buildModel(cfg)
 		if err != nil {
 			pp.buildErr = err
 			return
 		}
-		rewards := mp.Rewards()
 		cm, err := san.Compile(model, rewards)
 		if err != nil {
 			pp.buildErr = err
@@ -181,66 +176,13 @@ func (pp *pointPlan) build(cfg abe.Config) {
 	})
 }
 
-// hasPrefix reports whether any refusal string starts with the given
-// san.Refusal* classification prefix.
-func hasPrefix(refusals []string, prefix string) bool {
-	for _, r := range refusals {
-		if strings.HasPrefix(r, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// expandedCertify builds a fresh model for cfg, runs the phase-type
-// expansion pass over it, and certifies the expanded image
-// (statespace.CertifyExpanded). The fresh build keeps the point's original
-// compiled model untouched for the simulation fallback.
-func expandedCertify(cfg abe.Config) (*statespace.Generator, san.Certificate, *san.ExpansionReport, error) {
-	model := san.NewModel(cfg.Name)
-	mp, err := abe.Build(model, cfg)
-	if err != nil {
-		return nil, san.Certificate{}, nil, err
-	}
-	return statespace.CertifyExpanded(model, mp.Rewards(), statespace.Options{})
-}
-
-// fittedCertify builds a fresh model for cfg and runs the certified
-// approximate tier (statespace.CertifyFitted): exact expansion first, then
-// phase-type fitting within tol on the non-expandable remainder. The fresh
-// build keeps the point's original compiled model untouched for the
-// simulation fallback.
-func fittedCertify(cfg abe.Config, tol float64) (*statespace.Generator, san.Certificate, *san.FitReport, error) {
-	model := san.NewModel(cfg.Name)
-	mp, err := abe.Build(model, cfg)
-	if err != nil {
-		return nil, san.Certificate{}, nil, err
-	}
-	return statespace.CertifyFitted(model, mp.Rewards(), tol, statespace.Options{})
-}
-
 // Run evaluates every point of the sweep under the given study options
 // (opts.Seed is the sweep-level master seed; opts.Parallelism sizes the
 // shared worker pool). It returns per-point measures in input order. Solver
-// outcomes are deduplicated within the sweep through a fresh SolveCache.
+// outcomes are deduplicated within the sweep by model fingerprint.
 func Run(points []Point, opts san.Options) (*Result, error) {
-	return RunWithCache(points, opts, nil)
-}
-
-// RunWithCache is Run with a caller-held solve cache: points whose
-// (fingerprint, mission, solver tier, fit tolerance) key is already in the
-// cache — from an earlier point of this sweep or from a previous sweep —
-// reuse the memoized solver outcome instead of re-certifying and re-solving.
-// A nil cache gets a fresh one. Cached reuse is invisible in the results
-// except for the per-point Solver.Cache label: a hit returns the exact
-// rewards, method, reasons, and certificate the original computation
-// produced.
-func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
-	}
-	if cache == nil {
-		cache = NewSolveCache()
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -273,20 +215,18 @@ func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result,
 	// by uniformization — exact, zero variance, no replications. Points
 	// whose certificate is refused (or whose solve fails numerically)
 	// simulate, with the structured reasons recorded; ForceSimulation skips
-	// certification outright. Outcomes are memoized in the solve cache by
-	// content fingerprint, so duplicate configurations — common-random-number
-	// design comparisons, repeated calibrated sweeps — certify and solve
-	// once; the sync.Once per entry makes concurrent duplicates block on the
-	// first computation instead of racing it. The pre-pass runs the points on
-	// opts.Parallelism workers; every memoized object is shared read-only
-	// afterwards.
+	// certification outright. Outcomes are memoized per sweep by content
+	// fingerprint — mission, cascade and fit tolerance are fixed for the
+	// whole sweep — so duplicate configurations (common-random-number design
+	// comparisons, cross-check twins) certify and solve once; the sync.Once
+	// per entry makes concurrent duplicates block on the first computation
+	// instead of racing it. The pre-pass runs the points on opts.Parallelism
+	// workers; every memoized object is shared read-only afterwards.
 	analytic := make([]map[string]float64, len(points))
 	solverInfo := make([]Solver, len(points))
-	keys := make([]solveKey, len(points))
-	hasKey := make([]bool, len(points))
+	keys := make([]string, len(points)) // fingerprint; empty under ForceSimulation
 	preErr := make([]error, len(points))
-	prior := cache.snapshot()
-	tier := solverTier(opts)
+	cache := &solveCache{entries: make(map[string]*solveEntry, len(points))}
 	idxCh := make(chan int, len(points))
 	for i := range points {
 		idxCh <- i
@@ -316,14 +256,8 @@ func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result,
 					preErr[i] = pp.buildErr
 					continue
 				}
-				k := solveKey{
-					fingerprint: pp.compiled.Fingerprint(),
-					mission:     pp.opts.Mission,
-					tier:        tier,
-					fitTol:      opts.PHFitTolerance,
-				}
-				keys[i], hasKey[i] = k, true
-				e := cache.entry(k)
+				keys[i] = pp.compiled.Fingerprint()
+				e := cache.entry(keys[i])
 				e.once.Do(func() {
 					e.rewards, e.solver, e.err = solvePoint(pt.Config, pp.compiled, pp.opts.Mission, opts.PHFitTolerance)
 				})
@@ -342,21 +276,20 @@ func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result,
 			return nil, fmt.Errorf("sweep: point %d (%s): %w", i, points[i].label(), err)
 		}
 	}
-	// Hit/miss labels, assigned in point order against the cache's pre-sweep
-	// contents: the lowest-indexed point holding a key not already in the
-	// cache is the miss, every later holder is a hit — regardless of which
-	// worker actually computed the entry.
-	seen := make(map[solveKey]bool, len(points))
-	for i := range points {
-		if !hasKey[i] {
+	// Hit/miss labels, assigned in point order: the lowest-indexed point
+	// holding a fingerprint is the miss, every later holder is a hit —
+	// regardless of which worker actually computed the entry.
+	seen := make(map[string]bool, len(points))
+	for i, k := range keys {
+		if k == "" {
 			continue
 		}
-		if prior[keys[i]] || seen[keys[i]] {
+		if seen[k] {
 			solverInfo[i].Cache = CacheHit
 		} else {
 			solverInfo[i].Cache = CacheMiss
 		}
-		seen[keys[i]] = true
+		seen[k] = true
 	}
 
 	// One flat job list over the whole sweep, enqueued configuration-major.
@@ -528,9 +461,10 @@ type ReportPoint struct {
 // "simulation" otherwise — with the certificate's structured refusals (or the
 // ForceSimulation override, or a numerical solver error) as the reasons.
 // The cache field is "miss" when the point's solver outcome was computed
-// during the sweep, "hit" when it was shared from a fingerprint-identical
-// point (or a warm cache), and absent under ForceSimulation; a hit is
-// byte-identical to a recompute in every other field.
+// for the point, "hit" when it was shared from an earlier
+// fingerprint-identical point of the same sweep, and absent under
+// ForceSimulation; a hit is byte-identical to a recompute in every other
+// field.
 type ReportSolver struct {
 	Method      string           `json:"method"`
 	Cache       string           `json:"cache,omitempty"`

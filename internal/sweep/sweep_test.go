@@ -284,7 +284,7 @@ func TestSweepFitTierOptIn(t *testing.T) {
 	if solver.Method != MethodSimulation {
 		t.Fatalf("without opt-in the Weibull point must simulate, got %q", solver.Method)
 	}
-	if !hasPrefix(solver.Reasons, san.RefusalNonMemoryless) {
+	if !refusedNonMemoryless(*solver.Certificate) {
 		t.Fatalf("refusals must stay classified: %v", solver.Reasons)
 	}
 
